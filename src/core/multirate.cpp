@@ -8,10 +8,10 @@
 
 namespace sic::core {
 
-MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx) {
-  SIC_CHECK(ctx.adapter != nullptr);
-  const auto rates = sic_rates(ctx);
-  const double l = ctx.packet_bits;
+MultirateResult multirate_airtime_detailed(double packet_bits,
+                                           const SicRatePair& rates,
+                                           BitsPerSecond stronger_clean_rate) {
+  const double l = packet_bits;
   const double t_strong = airtime_seconds(l, rates.stronger);
   const double t_weak = airtime_seconds(l, rates.weaker);
 
@@ -31,8 +31,7 @@ MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx) {
   }
   // Stronger client lags: send r₁·t₂ bits under interference, then boost
   // the remainder to the clean rate.
-  const double clean_rate =
-      ctx.adapter->rate(ctx.arrival.stronger / ctx.arrival.noise).value();
+  const double clean_rate = stronger_clean_rate.value();
   out.overlap_bits = rates.stronger.value() * t_weak;
   const double remaining = std::max(0.0, l - out.overlap_bits);
   if (clean_rate <= 0.0) {
@@ -42,6 +41,18 @@ MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx) {
   out.airtime = t_weak + remaining / clean_rate;
   out.boosted = remaining > 0.0;
   return out;
+}
+
+MultirateResult multirate_airtime_detailed(const UploadPairContext& ctx) {
+  SIC_CHECK(ctx.adapter != nullptr);
+  const SicRatePair rates = sic_rates(ctx);
+  // A lag in airtime implies a lag in rate, so this looks the clean rate up
+  // whenever the formula reads it, and skips the lookup otherwise.
+  const BitsPerSecond clean =
+      rates.stronger < rates.weaker
+          ? ctx.adapter->rate(ctx.arrival.stronger / ctx.arrival.noise)
+          : BitsPerSecond{0.0};
+  return multirate_airtime_detailed(ctx.packet_bits, rates, clean);
 }
 
 double multirate_airtime(const UploadPairContext& ctx) {

@@ -31,6 +31,9 @@ void PairCostEngine::refresh_derived(int client) {
   derated_rss_[c] = rss_[c] * derate_;
   solo_airtime_[c] = solo_airtime(channel::LinkBudget{rss_[c], noise_},
                                   *adapter_, options_.packet_bits);
+  if (options_.enable_multirate) {
+    derated_clean_rate_[c] = adapter_->rate(derated_rss_[c] / noise_);
+  }
 }
 
 void PairCostEngine::set_clients(
@@ -49,6 +52,7 @@ void PairCostEngine::set_clients(
   rss_.resize(n);
   derated_rss_.resize(n);
   solo_airtime_.resize(n);
+  if (options_.enable_multirate) derated_clean_rate_.resize(n);
   for (std::size_t c = 0; c < n; ++c) {
     rss_[c] = clients[c].rss;
     refresh_derived(static_cast<int>(c));
@@ -119,42 +123,46 @@ void PairCostEngine::compute_row(int gi, std::span<const int> cols) {
     row_sinr_[count + t] = weaker / noise_mw;
   }
 
-  // Pass 2 — every rate lookup of the row in one batched call: a single
+  // Pass 2 — both SIC rates of every pair in one batched call: a single
   // virtual dispatch instead of two per pair.
   adapter_->rate_span(row_sinr_, row_rates_);
 
   // Pass 3 — plan selection. This replicates best_pair_plan_from_context
   // decision-for-decision (same candidate order, same strict-< rules) so
   // the batched row is bit-identical to the scalar path; the engine's
-  // bit-identity tests pin the two together.
+  // bit-identity tests pin the two together. Plain SIC and multirate read
+  // the rates pass 2 looked up, multirate also the stronger client's clean
+  // rate from refresh_derived; only power control looks up more rates.
+  const double packet_bits = options_.packet_bits;
   for (std::size_t t = 0; t < count; ++t) {
     const int gj = cols[t];
     const std::size_t a = static_cast<std::size_t>(std::min(gi, gj));
     const std::size_t b = static_cast<std::size_t>(std::max(gi, gj));
+    const SicRatePair rates{row_rates_[t], row_rates_[count + t]};
     PairPlan best;
     best.mode = PairMode::kSerial;
     best.airtime = solo_airtime_[a] + solo_airtime_[b];
-    const double t_sic =
-        std::max(airtime_seconds(options_.packet_bits, row_rates_[t]),
-                 airtime_seconds(options_.packet_bits, row_rates_[count + t]));
+    const double t_sic = std::max(airtime_seconds(packet_bits, rates.stronger),
+                                  airtime_seconds(packet_bits, rates.weaker));
     if (t_sic < best.airtime) {
       best = PairPlan{PairMode::kSic, t_sic, 1.0};
     }
-    if (options_.enable_power_control || options_.enable_multirate) {
-      const auto ctx =
+    if (options_.enable_power_control) {
+      const auto pc = optimize_weaker_power(
           UploadPairContext::make(derated_rss_[a], derated_rss_[b], noise_,
-                                  *adapter_, options_.packet_bits);
-      if (options_.enable_power_control) {
-        const auto pc = optimize_weaker_power(ctx);
-        if (pc.applied && pc.airtime < best.airtime) {
-          best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
-        }
+                                  *adapter_, packet_bits));
+      if (pc.applied && pc.airtime < best.airtime) {
+        best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
       }
-      if (options_.enable_multirate) {
-        const auto mr = multirate_airtime_detailed(ctx);
-        if (mr.boosted && mr.airtime < best.airtime) {
-          best = PairPlan{PairMode::kSicMultirate, mr.airtime, 1.0};
-        }
+    }
+    if (options_.enable_multirate) {
+      // Pass 1's stronger-client rule.
+      const std::size_t stronger =
+          derated_rss_[a].value() >= derated_rss_[b].value() ? a : b;
+      const auto mr = multirate_airtime_detailed(
+          packet_bits, rates, derated_clean_rate_[stronger]);
+      if (mr.boosted && mr.airtime < best.airtime) {
+        best = PairPlan{PairMode::kSicMultirate, mr.airtime, 1.0};
       }
     }
     plans_[a * n + b] = best;

@@ -11,8 +11,8 @@
 /// engine splits that work into
 ///
 ///  - per-client derived state, computed once per client and reused across
-///    the client's whole row (SoA layout: rss / derated rss / solo airtime
-///    in parallel arrays),
+///    the client's whole row (SoA layout: rss / derated rss / solo airtime,
+///    plus the derated clean rate with multirate on, in parallel arrays),
 ///  - a pair kernel shared with best_pair_plan (see
 ///    best_pair_plan_from_context) evaluating a row of pairs against one
 ///    client's precomputed state, and
@@ -104,9 +104,11 @@ class PairCostEngine {
   /// Batched row kernel: computes and caches the pair plans of client
   /// \p gi against every client in \p cols in three passes over SoA
   /// scratch — (1) stronger/weaker normalization + both SIC SINRs,
-  /// (2) one rate_span() call for all rate lookups (single virtual
-  /// dispatch per row), (3) plan selection replicating
-  /// best_pair_plan_from_context bit-for-bit.
+  /// (2) one rate_span() call for both SIC rates of every pair (single
+  /// virtual dispatch per row), (3) plan selection replicating
+  /// best_pair_plan_from_context bit-for-bit. Pass 3 looks up no rate
+  /// for plain SIC or multirate: it reuses pass 2's rates and the
+  /// per-client clean rate; only power control searches further.
   void compute_row(int gi, std::span<const int> cols);
   [[nodiscard]] Schedule schedule_indices(std::span<const int> idx);
   void refresh_derived(int client);
@@ -124,6 +126,9 @@ class PairCostEngine {
   std::vector<Milliwatts> rss_;          ///< fingerprinted channel estimate
   std::vector<Milliwatts> derated_rss_;  ///< rss × margin derate
   std::vector<double> solo_airtime_;     ///< clean solo airtime
+  /// Clean rate of the derated RSS, kept only with multirate on: the rate
+  /// a lagging stronger client switches to.
+  std::vector<BitsPerSecond> derated_clean_rate_;
 
   // Symmetric pair-plan cache (n × n, both triangles mirrored).
   std::vector<PairPlan> plans_;

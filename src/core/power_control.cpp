@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -36,10 +37,9 @@ constexpr double kMinDb = -40.0;
 constexpr int kCoarse = 201;  // 0.2 dB steps over [-40 dB, 0 dB]
 constexpr int kFine = 81;     // ±0.2 dB at 0.005 dB steps
 
-/// The dB grids of the generic search and their linear scales, shared by
-/// every pair. The search used to pay kCoarse + kFine std::pow calls per
-/// pair; precomputing the grids once per process removes all of them while
-/// keeping the evaluated scales bit-identical (same pow, same arguments).
+/// The dB grids of the discrete search and their linear scales, computed
+/// once per process with the same pow and arguments as the exhaustive
+/// scan, so the searched scales are bit-identical to it.
 struct ScaleTables {
   std::array<double, kCoarse> coarse_scale;
   /// fine_scale[c][i]: fine point i of the refinement window around coarse
@@ -60,104 +60,171 @@ const ScaleTables& scale_tables() {
             i)] = Decibels{fine_db}.linear();
       }
     }
+    // first_minimizer() needs every grid in ascending order.
+    SIC_CHECK(std::is_sorted(t.coarse_scale.begin(), t.coarse_scale.end()));
+    for (const auto& window : t.fine_scale) {
+      SIC_CHECK(std::is_sorted(window.begin(), window.end()));
+    }
     return t;
   }();
   return tables;
 }
 
-/// The two SIC-constrained rates at a given weaker-power scale — exactly
-/// the rates evaluate_at_scale() realizes, without the airtime math.
-SicRatePair rates_at_scale(const UploadPairContext& ctx, double scale) {
-  UploadPairContext scaled = ctx;
-  scaled.arrival.weaker = ctx.arrival.weaker * scale;
-  return sic_rates(scaled);
-}
+/// The pair at a weaker-power scale under a discrete policy, in rate
+/// steps: the same Milliwatts arithmetic as evaluate_at_scale(), with each
+/// SINR mapped to its step by RateTable::step_index() — the lookup
+/// DiscreteRateAdapter::rate() itself makes — and each step to its
+/// airtime through a table filled once per pair by airtime_seconds(). So
+/// every value below is bit-identical to the adapter path.
+class StepProbe {
+ public:
+  /// Step count of the largest table the search takes; 802.11n has 15.
+  static constexpr std::size_t kMaxSteps = 64;
 
-bool same_rates(const SicRatePair& a, const SicRatePair& b) {
-  return a.stronger.value() == b.stronger.value() &&
-         a.weaker.value() == b.weaker.value();
-}
-
-/// Minimizes the objective over an ascending scale grid by plateau
-/// skipping instead of point-by-point evaluation. Both SIC rates are
-/// monotone in the scale (the weaker's SINR rises with it, the stronger's
-/// falls, and RateAdapter is monotone in SINR), so equal rate pairs at two
-/// grid points pin every point in between to the same rates — and hence
-/// the same airtime. For a discrete rate table the plateau boundaries are
-/// its SINR thresholds, so one pass costs O(table · log grid) rate lookups
-/// instead of evaluating all `grid` points; probing the actual adapter at
-/// grid points (rather than inverting thresholds algebraically) keeps the
-/// boundary placement bit-exact.
-///
-/// Only the first point of each plateau is fully evaluated, which is the
-/// point the exhaustive loop would have recorded: its strict `<` keeps the
-/// first point of the winning plateau. Points at scale exactly 1.0 (the
-/// 0 dB grid end and the refinement window's clamped duplicates) are
-/// skipped outright — they re-evaluate the β = 1 starting point, which the
-/// strict `<` can never replace.
-void refine_over_grid(const UploadPairContext& ctx,
-                      std::span<const double> scales,
-                      PowerControlResult& best, int* best_index) {
-  std::size_t seg = 0;
-  while (seg < scales.size()) {
-    if (scales[seg] == 1.0) {
-      ++seg;
-      continue;
+  StepProbe(const UploadPairContext& ctx, const phy::RateTable& table)
+      : arrival_(ctx.arrival), table_(&table) {
+    const std::span<const BitsPerSecond> steps = table.rate_steps();
+    SIC_CHECK_MSG(steps.size() <= kMaxSteps,
+                  "rate table too large for the power-control search");
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      step_airtime_[i] = airtime_seconds(ctx.packet_bits, steps[i]);
     }
-    const SicRatePair seg_rates = rates_at_scale(ctx, scales[seg]);
-    // Bisect for the last grid index sharing this plateau's rates.
-    std::size_t lo = seg;
-    std::size_t hi = scales.size() - 1;
-    if (same_rates(seg_rates, rates_at_scale(ctx, scales[hi]))) {
-      lo = hi;
-    } else {
-      while (lo + 1 < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (same_rates(seg_rates, rates_at_scale(ctx, scales[mid]))) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-    }
-    const PowerControlResult cand = evaluate_at_scale(ctx, scales[seg]);
-    if (cand.airtime < best.airtime) {
-      best = cand;
-      if (best_index != nullptr) *best_index = static_cast<int>(seg);
-    }
-    seg = lo + 1;
   }
+
+  /// A_w: the weaker client's post-cancellation airtime at \p scale.
+  [[nodiscard]] double weaker_airtime(double scale) const {
+    return airtime(table_->step_index(scaled(scale) / arrival_.noise));
+  }
+
+  /// (A_s, A_w) at \p scale: the stronger client's interference-limited
+  /// airtime and the weaker client's post-cancellation one.
+  [[nodiscard]] std::pair<double, double> airtimes(double scale) const {
+    const auto [stronger, weaker] = steps(scale);
+    return {airtime(stronger), airtime(weaker)};
+  }
+
+  /// The full result at \p scale, as evaluate_at_scale() builds it.
+  [[nodiscard]] PowerControlResult at(double scale) const {
+    const auto [stronger, weaker] = steps(scale);
+    const std::span<const BitsPerSecond> rates = table_->rate_steps();
+    PowerControlResult out;
+    out.scale = scale;
+    out.rates = SicRatePair{rates[stronger], rates[weaker]};
+    out.airtime = std::max(airtime(stronger), airtime(weaker));
+    out.applied = scale < 1.0;
+    return out;
+  }
+
+ private:
+  [[nodiscard]] Milliwatts scaled(double scale) const {
+    return arrival_.weaker * scale;
+  }
+  /// The (stronger, weaker) rate steps at \p scale.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> steps(double scale) const {
+    const Milliwatts weaker = scaled(scale);
+    return {table_->step_index(arrival_.stronger / (weaker + arrival_.noise)),
+            table_->step_index(weaker / arrival_.noise)};
+  }
+  [[nodiscard]] double airtime(std::size_t step) const {
+    return step_airtime_[step];
+  }
+
+  phy::TwoSignalArrival arrival_;
+  const phy::RateTable* table_;
+  std::array<double, kMaxSteps> step_airtime_{};
+};
+
+/// Index of the first minimiser of the pair airtime max(A_s, A_w) over an
+/// ascending scale grid — the point an exhaustive strict-`<` scan records.
+///
+/// Along the grid the weaker client's SINR never falls and the stronger's
+/// never rises, so A_w is non-increasing and A_s non-decreasing: once A_s
+/// reaches A_w it stays the bottleneck. With k the first such point, the
+/// airtime is A_w (falling) before k and A_s (rising) from k on — a single
+/// valley whose floor is A_w(k−1) or A_s(k). One bisection finds k; when
+/// the floor is A_w(k−1), a second finds the first point of that plateau.
+std::size_t first_minimizer(const StepProbe& probe,
+                            std::span<const double> scales) {
+  std::size_t lo = 0;
+  std::size_t hi = scales.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const auto [a_s, a_w] = probe.airtimes(scales[mid]);
+    if (a_s >= a_w) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  const std::size_t k = lo;
+  if (k == 0) return 0;
+  const double falling_floor = probe.weaker_airtime(scales[k - 1]);
+  if (k < scales.size() && probe.at(scales[k]).airtime < falling_floor) {
+    return k;
+  }
+  lo = 0;
+  hi = k - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (probe.weaker_airtime(scales[mid]) <= falling_floor) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Discrete-policy search: the coarse dB grid over [-40 dB, 0 dB], then one
+/// refinement window around the best coarse point, each scanned in order
+/// with strict `<` against the running best. Every grid's first minimiser
+/// comes from first_minimizer() instead of a point-by-point scan.
+PowerControlResult optimize_over_steps(const UploadPairContext& ctx,
+                                       const phy::RateTable& table) {
+  const StepProbe probe{ctx, table};
+  PowerControlResult best = probe.at(1.0);
+  // Lowering β never shortens the weaker client's airtime, so no grid
+  // point beats β = 1 unless the stronger client is the strict bottleneck
+  // there (a silent weaker client never is: its airtime is infinite).
+  const auto [a_s, a_w] = probe.airtimes(1.0);
+  if (!(a_s > a_w)) return best;
+
+  const ScaleTables& tables = scale_tables();
+  // 0 dB — the refinement window when no coarse point beats β = 1.
+  std::size_t window = kCoarse - 1;
+  const std::size_t c = first_minimizer(probe, tables.coarse_scale);
+  const PowerControlResult coarse = probe.at(tables.coarse_scale[c]);
+  if (coarse.airtime < best.airtime) {
+    best = coarse;
+    window = c;
+  }
+  const std::span<const double> fine = tables.fine_scale[window];
+  const PowerControlResult refined = probe.at(fine[first_minimizer(probe, fine)]);
+  if (refined.airtime < best.airtime) best = refined;
+  return best;
 }
 
 }  // namespace
 
 PowerControlResult optimize_weaker_power(const UploadPairContext& ctx) {
   SIC_CHECK(ctx.adapter != nullptr);
+  if (const auto* discrete =
+          dynamic_cast<const phy::DiscreteRateAdapter*>(ctx.adapter)) {
+    return optimize_over_steps(ctx, discrete->table());
+  }
+  SIC_CHECK_MSG(
+      dynamic_cast<const phy::ShannonRateAdapter*>(ctx.adapter) != nullptr,
+      "power control needs a Shannon or a discrete rate adapter");
   PowerControlResult best = evaluate_at_scale(ctx, 1.0);
   best.applied = false;
   if (ctx.arrival.weaker.value() <= 0.0) return best;
 
-  if (dynamic_cast<const phy::ShannonRateAdapter*>(ctx.adapter) != nullptr) {
-    const double target = equal_rate_weaker_rss(ctx.arrival);
-    const double scale = target / ctx.arrival.weaker.value();
-    if (scale < 1.0) {
-      PowerControlResult cand = evaluate_at_scale(ctx, scale);
-      if (cand.airtime < best.airtime) return cand;
-    }
-    return best;
+  const double target = equal_rate_weaker_rss(ctx.arrival);
+  const double scale = target / ctx.arrival.weaker.value();
+  if (scale < 1.0) {
+    PowerControlResult cand = evaluate_at_scale(ctx, scale);
+    if (cand.airtime < best.airtime) return cand;
   }
-
-  // Generic (discrete) policy: coarse dB grid over [-40 dB, 0 dB] with one
-  // local refinement pass around the best coarse point. Equivalent to
-  // evaluating every grid point (pinned by test against the exhaustive
-  // loop), but via precomputed scales and plateau skipping.
-  const ScaleTables& tables = scale_tables();
-  int best_coarse = kCoarse - 1;  // 0 dB — the refinement window when no
-                                  // coarse point beats β = 1.
-  refine_over_grid(ctx, tables.coarse_scale, best, &best_coarse);
-  refine_over_grid(
-      ctx, tables.fine_scale[static_cast<std::size_t>(best_coarse)], best,
-      nullptr);
   return best;
 }
 

@@ -14,14 +14,16 @@
 /// Power is only ever *reduced* (the paper rules out boosting, Section 5.4),
 /// so when βS²* > S² no reduction helps and the pair is left untouched.
 ///
-/// For non-Shannon (discrete) policies, the same objective is minimized by
-/// a dB-domain grid search with local refinement — the objective is the max
-/// of a non-increasing and a non-decreasing step function of β, so a fine
-/// grid finds the optimum basin exactly. The implementation walks the grid
-/// by rate plateaus (bisecting for the indices where either SIC rate steps,
-/// i.e. the rate table's SINR thresholds) over scales precomputed once per
-/// process, which returns bit-identical results to the exhaustive scan at a
-/// fraction of its cost — the scan paid 282 std::pow calls per pair.
+/// For discrete policies the same objective is minimized over a dB grid of
+/// β — 201 coarse points over [-40 dB, 0 dB], then 81 fine points within
+/// ±0.2 dB of the best — with the result an exhaustive strict-`<` scan of
+/// both grids would record. The search reads rate steps, not rates: each
+/// SINR maps to an index into the RateTable through its exact linear
+/// cutovers (no log10). Along an ascending grid the weaker client's step
+/// never falls and the stronger's never rises, so the completion time is
+/// the max of a non-increasing and a non-decreasing step function — a
+/// single valley, whose first minimizer two bisections per grid find.
+/// The grid scales are precomputed once per process.
 
 #include "core/upload_pair.hpp"
 

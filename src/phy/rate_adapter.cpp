@@ -41,29 +41,15 @@ void ShannonRateAdapter::rate_span(std::span<const double> sinr_linear,
 }
 
 BitsPerSecond DiscreteRateAdapter::rate(double sinr_linear) const {
-  if (sinr_linear <= 0.0) return BitsPerSecond{0.0};
-  return table_->best_rate(Decibels::from_linear(sinr_linear));
+  return table_->rate_steps()[table_->step_index(sinr_linear)];
 }
 
 void DiscreteRateAdapter::rate_span(std::span<const double> sinr_linear,
                                     std::span<BitsPerSecond> out) const {
   SIC_CHECK(sinr_linear.size() == out.size());
-  // Threshold lookup in the linear domain: the table's cutovers are the
-  // exact linear images of the dB thresholds (see RateTable ctor), so
-  // x >= cut decides identically to from_linear(x) >= min_sinr — no
-  // log10 per lane. Thresholds increase, so the met set is a prefix and
-  // a branchless count indexes the step table; x <= 0 and NaN meet no
-  // cutover and land on steps[0] == 0 bps, exactly like rate().
-  const std::span<const double> cuts = table_->linear_cutovers();
   const std::span<const BitsPerSecond> steps = table_->rate_steps();
-  const std::size_t m = cuts.size();
   for (std::size_t i = 0; i < sinr_linear.size(); ++i) {
-    const double x = sinr_linear[i];
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      idx += static_cast<std::size_t>(x >= cuts[j]);
-    }
-    out[i] = steps[idx];
+    out[i] = steps[table_->step_index(sinr_linear[i])];
   }
 }
 

@@ -64,6 +64,8 @@ class ShannonRateAdapter final : public RateAdapter {
 /// Discrete standard-rate adaptation via a RateTable step function.
 /// Models a practical adapter that always picks the highest sustainable
 /// standard rate (the "recent advances in bitrate adaptation" of [9-11]).
+/// rate() and rate_span() both read RateTable::step_index(): the decision
+/// of best_rate(Decibels::from_linear(x)) without the log10.
 class DiscreteRateAdapter final : public RateAdapter {
  public:
   /// \p table must outlive the adapter (the canonical tables are static).

@@ -47,8 +47,8 @@ class RateTable {
 
   [[nodiscard]] std::span<const RateEntry> entries() const { return entries_; }
 
-  /// The thresholds translated into the *linear* SINR domain for the
-  /// batched rate_span fast path: linear_cutovers()[i] is the smallest
+  /// The thresholds translated into the *linear* SINR domain for
+  /// step_index(): linear_cutovers()[i] is the smallest
   /// positive double whose dB image meets entries()[i].min_sinr, found by
   /// ulp walk against the exact scalar predicate at construction. So
   /// (sinr_linear >= linear_cutovers()[i]) is exactly equivalent to
@@ -63,6 +63,20 @@ class RateTable {
   /// is 0 bps, "even the base rate is infeasible".
   [[nodiscard]] std::span<const BitsPerSecond> rate_steps() const {
     return rate_steps_;
+  }
+
+  /// The rate step of a linear SINR: how many linear_cutovers() it meets,
+  /// so rate_steps()[step_index(x)] == best_rate(Decibels::from_linear(x))
+  /// for every double with no log10. Monotone non-decreasing in x; x <= 0
+  /// and NaN meet no cutover and land on step 0. Every discrete rate
+  /// decision (DiscreteRateAdapter, the power-control search) reads it.
+  [[nodiscard]] std::size_t step_index(double sinr_linear) const {
+    // Branchless count: the met set is a prefix, so the count is the step.
+    std::size_t step = 0;
+    for (const double cut : linear_cutovers_) {
+      step += static_cast<std::size_t>(sinr_linear >= cut);
+    }
+    return step;
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -9,6 +9,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace sic::bench_gate {
 namespace {
@@ -36,6 +37,26 @@ TEST(ParseFlatJson, ThrowsOnNonObjectAndTruncation) {
   EXPECT_THROW((void)parse_flat_json("[1,2]"), std::runtime_error);
   EXPECT_THROW((void)parse_flat_json("{\"a\":1"), std::runtime_error);
   EXPECT_THROW((void)parse_flat_json("{\"a\" 1}"), std::runtime_error);
+}
+
+TEST(ParseFlatJson, RejectsDuplicateKeysNamingTheKey) {
+  // A repeated numeric key, and the repeated string tag that gluing two
+  // summary lines together produces.
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"a\":1,\"a\":2}", "duplicate key a "},
+      {"{\"bench\":\"deployment\",\"a\":1,\"bench\":\"perf\"}",
+       "duplicate key bench "}};
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)parse_flat_json(text);
+      ADD_FAILURE() << "no error for " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Equal keys in a nested object are not top-level duplicates.
+  EXPECT_NO_THROW((void)parse_flat_json("{\"a\":{\"x\":1},\"x\":2}"));
 }
 
 TEST(ParsePin, DefaultsAndSuffixes) {

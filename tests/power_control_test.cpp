@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <sstream>
 
 #include "util/rng.hpp"
 
@@ -104,7 +109,7 @@ TEST(PowerControl, DiscreteAdapterFindsStepImprovement) {
 
 /// The historical exhaustive grid search: every coarse point evaluated,
 /// then every fine point around the best coarse hit, strict `<` keeping the
-/// first minimum. The production plateau-skipping search must reproduce its
+/// first minimum. The production step-index search must reproduce its
 /// result bit for bit.
 PowerControlResult exhaustive_grid_reference(const UploadPairContext& ctx) {
   auto evaluate_at_scale = [&](double scale) {
@@ -142,28 +147,105 @@ PowerControlResult exhaustive_grid_reference(const UploadPairContext& ctx) {
   return best;
 }
 
+/// Bit-pattern equality of every field of the production search and the
+/// exhaustive reference.
+void expect_bit_identical_to_exhaustive(const UploadPairContext& ctx) {
+  const auto fast = optimize_weaker_power(ctx);
+  const auto slow = exhaustive_grid_reference(ctx);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto where = [&] {
+    std::ostringstream os;
+    os.precision(17);
+    os << ctx.adapter->name() << " S1=" << ctx.arrival.stronger.value()
+       << " S2=" << ctx.arrival.weaker.value()
+       << " N0=" << ctx.arrival.noise.value() << " L=" << ctx.packet_bits;
+    return os.str();
+  };
+  EXPECT_EQ(bits(fast.scale), bits(slow.scale)) << where();
+  EXPECT_EQ(bits(fast.airtime), bits(slow.airtime)) << where();
+  EXPECT_EQ(fast.applied, slow.applied) << where();
+  EXPECT_EQ(bits(fast.rates.stronger.value()), bits(slow.rates.stronger.value()))
+      << where();
+  EXPECT_EQ(bits(fast.rates.weaker.value()), bits(slow.rates.weaker.value()))
+      << where();
+}
+
+/// The weaker RSS w with w / noise == sinr exactly, when a few ulp of
+/// adjustment around sinr * noise find one.
+std::optional<Milliwatts> weaker_rss_at_sinr(double sinr, double noise) {
+  double w = sinr * noise;
+  for (int i = 0; i < 8 && w / noise != sinr; ++i) {
+    w = std::nextafter(w, w / noise < sinr
+                              ? std::numeric_limits<double>::infinity()
+                              : 0.0);
+  }
+  if (w / noise != sinr) return std::nullopt;
+  return Milliwatts{w};
+}
+
 TEST(PowerControl, PlateauSearchBitIdenticalToExhaustiveGrid) {
   const phy::DiscreteRateAdapter g{phy::RateTable::dot11g()};
   const phy::DiscreteRateAdapter b{phy::RateTable::dot11b()};
   const phy::DiscreteRateAdapter n{phy::RateTable::dot11n()};
-  const phy::RateAdapter* const adapters[] = {&g, &b, &n};
-  for (const phy::RateAdapter* adapter : adapters) {
+  const phy::DiscreteRateAdapter* const adapters[] = {&g, &b, &n};
+  // The default 1500-byte frame and packet sizing's 2304-byte MTU.
+  const double packet_sizes[] = {12000.0, 2304.0 * 8.0};
+  Rng rng{1402};
+  for (const phy::DiscreteRateAdapter* adapter : adapters) {
+    // A dB grid of stronger/weaker SNR pairs at unit noise.
     for (double s1 = 4.0; s1 <= 44.0; s1 += 2.0) {
       for (double s2 = 1.0; s2 <= s1; s2 += 2.0) {
-        const auto ctx = ctx_db(s1, s2, *adapter);
-        const auto fast = optimize_weaker_power(ctx);
-        const auto slow = exhaustive_grid_reference(ctx);
-        EXPECT_EQ(fast.scale, slow.scale)
-            << adapter->name() << " s1=" << s1 << " s2=" << s2;
-        EXPECT_EQ(fast.airtime, slow.airtime)
-            << adapter->name() << " s1=" << s1 << " s2=" << s2;
-        EXPECT_EQ(fast.applied, slow.applied)
-            << adapter->name() << " s1=" << s1 << " s2=" << s2;
-        EXPECT_EQ(fast.rates.stronger.value(), slow.rates.stronger.value())
-            << adapter->name() << " s1=" << s1 << " s2=" << s2;
-        EXPECT_EQ(fast.rates.weaker.value(), slow.rates.weaker.value())
-            << adapter->name() << " s1=" << s1 << " s2=" << s2;
+        expect_bit_identical_to_exhaustive(ctx_db(s1, s2, *adapter));
       }
+    }
+
+    const phy::RateTable& table = adapter->table();
+    const double base_db = table.entries().front().min_sinr.value();
+    const double top_db = table.entries().back().min_sinr.value();
+    const auto random_noise = [&] {
+      return std::pow(10.0, rng.uniform(-15.0, 3.0));  // 18 decades of mW
+    };
+    const auto random_packet = [&] {
+      return packet_sizes[static_cast<std::size_t>(rng.uniform_int(0, 1))];
+    };
+
+    // The weaker SINR exactly on each linear cutover and one ulp either
+    // side, where a rate step changes at full power.
+    for (const double cut : table.linear_cutovers()) {
+      for (const double sinr :
+           {std::nextafter(cut, 0.0), cut,
+            std::nextafter(cut, std::numeric_limits<double>::infinity())}) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const double noise = random_noise();
+          const std::optional<Milliwatts> weaker =
+              weaker_rss_at_sinr(sinr, noise);
+          if (!weaker) continue;
+          const Milliwatts stronger =
+              *weaker * Decibels{rng.uniform(0.0, 40.0)}.linear();
+          expect_bit_identical_to_exhaustive(
+              UploadPairContext::make(stronger, *weaker, Milliwatts{noise},
+                                      *adapter, random_packet()));
+        }
+      }
+    }
+
+    // Seeded random pairs: SNRs from 15 dB below the base rate to 40 dB
+    // above the top rate, a share of them with equal RSS or a silent
+    // weaker client.
+    for (int trial = 0; trial < 6000; ++trial) {
+      const double noise = random_noise();
+      const auto rss = [&] {
+        return Milliwatts{noise *
+                          Decibels{rng.uniform(base_db - 15.0, top_db + 40.0)}
+                              .linear()};
+      };
+      const Milliwatts s1 = rss();
+      Milliwatts s2 = rss();
+      const int shape = rng.uniform_int(0, 9);
+      if (shape == 0) s2 = s1;
+      if (shape == 1) s2 = Milliwatts{0.0};
+      expect_bit_identical_to_exhaustive(UploadPairContext::make(
+          s1, s2, Milliwatts{noise}, *adapter, random_packet()));
     }
   }
 }

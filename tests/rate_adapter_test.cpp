@@ -125,6 +125,7 @@ TEST(RateSpan, BitIdenticalToScalarRateAcrossAdapters) {
     const std::vector<double> sinrs = adversarial_sinrs(*adapter);
     std::vector<BitsPerSecond> batched(sinrs.size());
     adapter->rate_span(sinrs, batched);
+    const auto* discrete = dynamic_cast<const DiscreteRateAdapter*>(adapter);
     for (std::size_t i = 0; i < sinrs.size(); ++i) {
       const BitsPerSecond scalar = adapter->rate(sinrs[i]);
       // Bit-pattern equality so NaN-propagating inputs (Shannon of NaN)
@@ -133,6 +134,21 @@ TEST(RateSpan, BitIdenticalToScalarRateAcrossAdapters) {
                 std::bit_cast<std::uint64_t>(scalar.value()))
           << adapter->name() << " at sinr " << sinrs[i] << " (index " << i
           << "): " << batched[i].value() << " vs " << scalar.value();
+      if (discrete == nullptr) continue;
+      // Both discrete calls share one linear lookup; pin it to the
+      // dB-domain decision its cutovers stand in for.
+      const double oracle =
+          sinrs[i] <= 0.0
+              ? 0.0
+              : discrete->table()
+                    .best_rate(Decibels::from_linear(sinrs[i]))
+                    .value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar.value()),
+                std::bit_cast<std::uint64_t>(oracle))
+          << adapter->name() << " rate() at sinr " << sinrs[i];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[i].value()),
+                std::bit_cast<std::uint64_t>(oracle))
+          << adapter->name() << " rate_span() at sinr " << sinrs[i];
     }
   }
 }

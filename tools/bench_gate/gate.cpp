@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,6 +76,7 @@ void skip_value(std::string_view text, std::size_t& i) {
 
 std::map<std::string, double> parse_flat_json(std::string_view text) {
   std::map<std::string, double> out;
+  std::set<std::string> keys;  // every key, numeric or not
   std::size_t i = 0;
   skip_ws(text, i);
   if (i >= text.size() || text[i] != '{') {
@@ -89,6 +91,9 @@ std::map<std::string, double> parse_flat_json(std::string_view text) {
       throw std::runtime_error("expected JSON key");
     }
     const std::string key = read_string(text, i);
+    if (!keys.insert(key).second) {
+      throw std::runtime_error("duplicate key " + key + " in bench summary");
+    }
     skip_ws(text, i);
     if (i >= text.size() || text[i] != ':') {
       throw std::runtime_error("expected ':' after key " + key);

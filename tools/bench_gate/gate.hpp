@@ -60,7 +60,9 @@ struct GateReport {
 /// Extracts the top-level numeric fields of a one-line flat JSON object
 /// (nested objects/arrays and string values are skipped, not descended
 /// into). Tolerant of surrounding whitespace/newlines. Throws
-/// std::runtime_error on text that is not a JSON object at all.
+/// std::runtime_error on text that is not a JSON object at all, and on a
+/// top-level key that appears twice (whatever its values) — a summary
+/// glued from two lines must not silently keep one of them.
 [[nodiscard]] std::map<std::string, double> parse_flat_json(
     std::string_view text);
 
