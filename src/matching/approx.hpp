@@ -18,10 +18,12 @@
 /// terminates; a pass cap bounds the worst case.
 ///
 /// This is the scaling tier behind SchedulerOptions::Pairing::kApprox and
-/// the large-n half of kAuto: blossom is O(n³) and stops being affordable
-/// at the per-AP backlogs of dense deployments (Zhang & Haenggi regimes,
-/// PAPERS.md); greedy + postpass is O(n² log n) and empirically within a
-/// few percent of exact total airtime at the sizes where both can run.
+/// the large-n half of kAuto: blossom is O(n³) in the worst case, and the
+/// per-AP backlogs of dense deployments are large (Zhang & Haenggi
+/// regimes, PAPERS.md); greedy + postpass is O(n² log n) and empirically
+/// within a few percent of exact total airtime at the sizes where both
+/// can run. Measured against the jump-started blossom the speed gap is
+/// small: ~1.7× at n = 256 on random costs (bench/perf_matching).
 
 #include <cstdint>
 #include <span>

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "matching/error.hpp"
@@ -27,7 +28,8 @@ class BlossomMatcher {
   };
 
   /// Work counters accumulated as plain integers on the hot path and
-  /// published in one batch by max_weight_matching (obs batch idiom).
+  /// published in one batch by solve_published (obs batch idiom).
+  /// edge_visits counts the stage scans' adjacency reads only.
   struct SolveStats {
     std::uint64_t stages = 0;
     std::uint64_t augmentations = 0;
@@ -38,21 +40,33 @@ class BlossomMatcher {
   BlossomMatcher(int nvertex, std::vector<Edge> edges, bool max_cardinality)
       : nv_(nvertex), edges_(std::move(edges)), maxcard_(max_cardinality) {
     const int ne = static_cast<int>(edges_.size());
-    maxweight_ = 0;
+    std::int64_t maxweight = 0;
     for (const auto& e : edges_) {
       SIC_CHECK(e.i >= 0 && e.i < nv_ && e.j >= 0 && e.j < nv_ && e.i != e.j);
-      maxweight_ = std::max(maxweight_, e.w);
+      maxweight = std::max(maxweight, e.w);
     }
     endpoint_.resize(2 * ne);
     for (int k = 0; k < ne; ++k) {
       endpoint_[2 * k] = edges_[k].i;
       endpoint_[2 * k + 1] = edges_[k].j;
     }
-    neighbend_.resize(nv_);
-    for (int k = 0; k < ne; ++k) {
-      neighbend_[edges_[k].i].push_back(2 * k + 1);
-      neighbend_[edges_[k].j].push_back(2 * k);
+    // CSR adjacency in edge order: count degrees into adj_start_[v + 1],
+    // prefix-sum, fill using adj_start_[v] as v's cursor (which leaves it at
+    // v's end), then shift the starts back into place.
+    adj_start_.assign(nv_ + 1, 0);
+    for (const auto& e : edges_) {
+      ++adj_start_[e.i + 1];
+      ++adj_start_[e.j + 1];
     }
+    for (int v = 0; v < nv_; ++v) adj_start_[v + 1] += adj_start_[v];
+    adj_.resize(2 * ne);
+    for (int k = 0; k < ne; ++k) {
+      const Edge& e = edges_[k];
+      adj_[adj_start_[e.i]++] = Arc{e.j, 2 * k + 1, e.w};
+      adj_[adj_start_[e.j]++] = Arc{e.i, 2 * k, e.w};
+    }
+    for (int v = nv_; v > 0; --v) adj_start_[v] = adj_start_[v - 1];
+    adj_start_[0] = 0;
     mate_.assign(nv_, -1);
     label_.assign(2 * nv_, 0);
     labelend_.assign(2 * nv_, -1);
@@ -67,10 +81,52 @@ class BlossomMatcher {
     bestedge_.assign(2 * nv_, -1);
     blossombestedges_.resize(2 * nv_);
     has_bestedges_.assign(2 * nv_, false);
+    bestedgeto_.assign(2 * nv_, -1);
     for (int b = 2 * nv_ - 1; b >= nv_; --b) unusedblossoms_.push_back(b);
     dualvar_.assign(2 * nv_, 0);
-    for (int v = 0; v < nv_; ++v) dualvar_[v] = maxweight_;
+    for (int v = 0; v < nv_; ++v) dualvar_[v] = maxweight;
     allowedge_.assign(ne, false);
+  }
+
+  /// Greedy jump start (Kolmogorov's Blossom V initialisation) for
+  /// max-cardinality instances that have a perfect matching; call once,
+  /// before solve(). Each vertex's dual becomes its largest incident
+  /// weight, so every slack is >= 0. Then, in index order, each vertex
+  /// lowers its dual by its smallest slack, which makes at least one of its
+  /// edges tight, and a free vertex takes the first free neighbour across a
+  /// tight edge as its mate. Duals stay feasible and matched edges tight,
+  /// so the stages start from a partial matching rather than from uniform
+  /// duals and an empty one. Weights are even, so every dual stays even:
+  /// the free vertices share a parity and delta3 = slack/2 stays integral.
+  /// Not for the plain maximum-weight problem, whose optimality needs equal
+  /// duals on the vertices left single.
+  void jump_start() {
+    SIC_CHECK(maxcard_);
+    for (int v = 0; v < nv_; ++v) {
+      const auto arcs = arcs_of(v);
+      if (!arcs.empty()) dualvar_[v] = std::ranges::max(arcs, {}, &Arc::w).w;
+    }
+    for (int v = 0; v < nv_; ++v) {
+      const auto arcs = arcs_of(v);
+      if (arcs.empty()) continue;
+      std::int64_t least = std::numeric_limits<std::int64_t>::max();
+      const Arc* pick = nullptr;  // first free neighbour at the least slack
+      for (const Arc& arc : arcs) {
+        const std::int64_t s = dualvar_[v] + dualvar_[arc.to] - 2 * arc.w;
+        const bool free = mate_[arc.to] == -1;
+        if (s < least) {
+          least = s;
+          pick = free ? &arc : nullptr;
+        } else if (s == least && pick == nullptr && free) {
+          pick = &arc;
+        }
+      }
+      dualvar_[v] -= least;
+      if (mate_[v] == -1 && pick != nullptr) {
+        mate_[v] = pick->p;
+        mate_[pick->to] = pick->p ^ 1;
+      }
+    }
   }
 
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
@@ -98,19 +154,19 @@ class BlossomMatcher {
           const int v = queue_.back();
           queue_.pop_back();
           SIC_DCHECK(label_[inblossom_[v]] == 1);
-          for (const int p : neighbend_[v]) {
+          for (const Arc& arc : arcs_of(v)) {
             ++stats_.edge_visits;
-            const int k = p / 2;
-            const int w = endpoint_[p];
+            const int k = arc.p / 2;
+            const int w = arc.to;
             if (inblossom_[v] == inblossom_[w]) continue;
             std::int64_t kslack = 0;
             if (!allowedge_[k]) {
-              kslack = slack(k);
+              kslack = dualvar_[v] + dualvar_[w] - 2 * arc.w;
               if (kslack <= 0) allowedge_[k] = true;
             }
             if (allowedge_[k]) {
               if (label_[inblossom_[w]] == 0) {
-                assign_label(w, 2, p ^ 1);
+                assign_label(w, 2, arc.p ^ 1);
               } else if (label_[inblossom_[w]] == 1) {
                 const int base = scan_blossom(v, w);
                 if (base >= 0) {
@@ -123,7 +179,7 @@ class BlossomMatcher {
               } else if (label_[w] == 0) {
                 SIC_DCHECK(label_[inblossom_[w]] == 2);
                 label_[w] = 2;
-                labelend_[w] = p ^ 1;
+                labelend_[w] = arc.p ^ 1;
               }
             } else if (label_[inblossom_[w]] == 1) {
               const int b = inblossom_[v];
@@ -244,16 +300,30 @@ class BlossomMatcher {
   }
 
  private:
+  /// One adjacency entry: the far vertex, its endpoint id (2k or 2k+1 for
+  /// edge k), and the edge's quantised weight.
+  struct Arc {
+    int to;
+    int p;
+    std::int64_t w;
+  };
+
+  [[nodiscard]] std::span<const Arc> arcs_of(int v) const {
+    return {adj_.data() + adj_start_[v], adj_.data() + adj_start_[v + 1]};
+  }
+
   [[nodiscard]] std::int64_t slack(int k) const {
     return dualvar_[edges_[k].i] + dualvar_[edges_[k].j] - 2 * edges_[k].w;
   }
 
-  void blossom_leaves(int b, std::vector<int>& out) const {
+  /// Calls f(v) for every vertex v inside blossom b, in child order.
+  template <typename F>
+  void for_each_leaf(int b, F&& f) const {
     if (b < nv_) {
-      out.push_back(b);
+      f(b);
       return;
     }
-    for (const int child : blossomchilds_[b]) blossom_leaves(child, out);
+    for (const int child : blossomchilds_[b]) for_each_leaf(child, f);
   }
 
   /// Labels the top-level blossom containing w as S (t=1) or T (t=2),
@@ -265,9 +335,7 @@ class BlossomMatcher {
     labelend_[w] = labelend_[b] = p;
     bestedge_[w] = bestedge_[b] = -1;
     if (t == 1) {
-      std::vector<int> leaves;
-      blossom_leaves(b, leaves);
-      queue_.insert(queue_.end(), leaves.begin(), leaves.end());
+      for_each_leaf(b, [this](int leaf) { queue_.push_back(leaf); });
     } else {
       const int base = blossombase_[b];
       SIC_DCHECK(mate_[base] >= 0);
@@ -278,7 +346,7 @@ class BlossomMatcher {
   /// Traces back from the S-vertices v and w; returns the base of a new
   /// blossom, or -1 if an augmenting path was found instead.
   int scan_blossom(int v, int w) {
-    std::vector<int> path;
+    path_.clear();
     int base = -1;
     while (v != -1 || w != -1) {
       int b = inblossom_[v];
@@ -287,7 +355,7 @@ class BlossomMatcher {
         break;
       }
       SIC_DCHECK(label_[b] == 1);
-      path.push_back(b);
+      path_.push_back(b);
       label_[b] |= 4;
       if (mate_[blossombase_[b]] == -1) {
         v = -1;  // reached a single vertex; swap to the other side
@@ -300,7 +368,7 @@ class BlossomMatcher {
       }
       if (w != -1) std::swap(v, w);
     }
-    for (const int b : path) label_[b] &= ~4;
+    for (const int b : path_) label_[b] &= ~4;
     return base;
   }
 
@@ -347,53 +415,55 @@ class BlossomMatcher {
     label_[b] = 1;
     labelend_[b] = labelend_[bb];
     dualvar_[b] = 0;
-    std::vector<int> leaves;
-    blossom_leaves(b, leaves);
-    for (const int leaf : leaves) {
+    for_each_leaf(b, [this, b](int leaf) {
       if (label_[inblossom_[leaf]] == 2) queue_.push_back(leaf);
       inblossom_[leaf] = b;
-    }
-    // Merge least-slack edge lists of the sub-blossoms.
-    std::vector<int> bestedgeto(2 * nv_, -1);
+    });
+    // Merge least-slack edge lists of the sub-blossoms: a child without a
+    // list offers every edge of its leaves, read in place from the CSR.
     for (const int child : path) {
-      std::vector<std::vector<int>> nblists;
       if (!has_bestedges_[child]) {
-        std::vector<int> child_leaves;
-        blossom_leaves(child, child_leaves);
-        for (const int leaf : child_leaves) {
-          std::vector<int> ks;
-          ks.reserve(neighbend_[leaf].size());
-          for (const int p : neighbend_[leaf]) ks.push_back(p / 2);
-          nblists.push_back(std::move(ks));
-        }
+        for_each_leaf(child, [this, b](int leaf) {
+          for (const Arc& arc : arcs_of(leaf)) {
+            offer_bestedge(b, arc.p / 2, arc.to);
+          }
+        });
       } else {
-        nblists.push_back(blossombestedges_[child]);
-      }
-      for (const auto& nblist : nblists) {
-        for (const int ek : nblist) {
+        for (const int ek : blossombestedges_[child]) {
           int j = edges_[ek].j;
           if (inblossom_[j] == b) j = edges_[ek].i;
-          const int bj = inblossom_[j];
-          if (bj != b && label_[bj] == 1 &&
-              (bestedgeto[bj] == -1 || slack(ek) < slack(bestedgeto[bj]))) {
-            bestedgeto[bj] = ek;
-          }
+          offer_bestedge(b, ek, j);
         }
       }
       blossombestedges_[child].clear();
       has_bestedges_[child] = false;
       bestedge_[child] = -1;
     }
-    blossombestedges_[b].clear();
-    for (const int ek : bestedgeto) {
-      if (ek != -1) blossombestedges_[b].push_back(ek);
+    // Collect in blossom-id order, resetting the scratch as we go.
+    auto& best = blossombestedges_[b];
+    best.clear();
+    for (int bj = 0; bj < 2 * nv_; ++bj) {
+      if (bestedgeto_[bj] != -1) {
+        best.push_back(bestedgeto_[bj]);
+        bestedgeto_[bj] = -1;
+      }
     }
     has_bestedges_[b] = true;
     bestedge_[b] = -1;
-    for (const int ek : blossombestedges_[b]) {
+    for (const int ek : best) {
       if (bestedge_[b] == -1 || slack(ek) < slack(bestedge_[b])) {
         bestedge_[b] = ek;
       }
+    }
+  }
+
+  /// Keeps edge ek, whose far vertex is j, as the new blossom b's
+  /// least-slack edge towards j's top-level S-blossom if it improves on it.
+  void offer_bestedge(int b, int ek, int j) {
+    const int bj = inblossom_[j];
+    if (bj != b && label_[bj] == 1 &&
+        (bestedgeto_[bj] == -1 || slack(ek) < slack(bestedgeto_[bj]))) {
+      bestedgeto_[bj] = ek;
     }
   }
 
@@ -401,8 +471,9 @@ class BlossomMatcher {
   /// false) a T-blossom's children must be relabeled along the alternating
   /// path from the entry point to the base.
   void expand_blossom(int b, bool endstage) {
-    // Copy: recursive expansion and relabeling mutate child structures.
-    const std::vector<int> childs = blossomchilds_[b];
+    // Read in place: recursion clears only the children's own lists, and
+    // relabeling never touches b's, which is cleared at the end.
+    const std::vector<int>& childs = blossomchilds_[b];
     for (const int s : childs) {
       blossomparent_[s] = -1;
       if (s < nv_) {
@@ -410,9 +481,7 @@ class BlossomMatcher {
       } else if (endstage && dualvar_[s] == 0) {
         expand_blossom(s, endstage);
       } else {
-        std::vector<int> leaves;
-        blossom_leaves(s, leaves);
-        for (const int leaf : leaves) inblossom_[leaf] = s;
+        for_each_leaf(s, [this, s](int leaf) { inblossom_[leaf] = s; });
       }
     }
     if (!endstage && label_[b] == 2) {
@@ -462,15 +531,10 @@ class BlossomMatcher {
           j += jstep;
           continue;
         }
-        std::vector<int> leaves;
-        blossom_leaves(bw, leaves);
         int labeled = -1;
-        for (const int leaf : leaves) {
-          if (label_[leaf] != 0) {
-            labeled = leaf;
-            break;
-          }
-        }
+        for_each_leaf(bw, [this, &labeled](int leaf) {
+          if (labeled == -1 && label_[leaf] != 0) labeled = leaf;
+        });
         if (labeled != -1) {
           SIC_DCHECK(label_[labeled] == 2);
           SIC_DCHECK(inblossom_[labeled] == bw);
@@ -571,9 +635,9 @@ class BlossomMatcher {
   int nv_;
   std::vector<Edge> edges_;
   bool maxcard_;
-  std::int64_t maxweight_;
   std::vector<int> endpoint_;
-  std::vector<std::vector<int>> neighbend_;
+  std::vector<int> adj_start_;  // v's arcs: adj_[adj_start_[v] .. [v + 1])
+  std::vector<Arc> adj_;
   std::vector<int> mate_;
   std::vector<int> label_;
   std::vector<int> labelend_;
@@ -589,37 +653,100 @@ class BlossomMatcher {
   std::vector<std::int64_t> dualvar_;
   std::vector<char> allowedge_;
   std::vector<int> queue_;
+  std::vector<int> path_;        // scan_blossom scratch
+  std::vector<int> bestedgeto_;  // add_blossom scratch, all -1 between calls
   SolveStats stats_;
 };
 
-/// Quantizes double weights onto an even-integer grid (exact dual
-/// arithmetic requires even integer weights; evenness keeps delta3 =
-/// slack/2 integral).
+/// The even-integer grid both entry points quantise onto: the largest
+/// magnitude maps to 2·2²⁶. Exact dual arithmetic needs integer weights,
+/// and evenness keeps delta3 = slack/2 integral.
+double grid_scale(double maxabs) {
+  return maxabs > 0.0 ? static_cast<double>(std::int64_t{1} << 26) / maxabs
+                      : 1.0;
+}
+
+std::int64_t on_grid(double weight, double scale) {
+  return 2 * std::llround(weight * scale);
+}
+
+std::string pair_name(int i, int j) {
+  return "(" + std::to_string(i) + ", " + std::to_string(j) + ")";
+}
+
 std::vector<BlossomMatcher::Edge> quantize(std::span<const WeightedEdge> edges) {
   double maxabs = 0.0;
-  for (const auto& e : edges) maxabs = std::max(maxabs, std::fabs(e.weight));
-  const double scale =
-      maxabs > 0.0 ? static_cast<double>(std::int64_t{1} << 26) / maxabs : 1.0;
+  for (const auto& e : edges) {
+    if (!std::isfinite(e.weight)) {
+      throw MatchingError("blossom matching: edge " + pair_name(e.u, e.v) +
+                          " has non-finite weight " + std::to_string(e.weight));
+    }
+    maxabs = std::max(maxabs, std::fabs(e.weight));
+  }
+  const double scale = grid_scale(maxabs);
   std::vector<BlossomMatcher::Edge> out;
   out.reserve(edges.size());
   for (const auto& e : edges) {
-    out.push_back(BlossomMatcher::Edge{
-        e.u, e.v, 2 * std::llround(e.weight * scale)});
+    out.push_back(BlossomMatcher::Edge{e.u, e.v, on_grid(e.weight, scale)});
   }
   return out;
 }
 
-}  // namespace
+/// Quantises the Fig. 12 reduction w' = max_cost − cost of a complete cost
+/// matrix, in row-major (i < j) edge order. max_cost and the grid come from
+/// the finite costs alone, so an all-finite matrix lands on the grid that
+/// max_weight_matching would use for the same w'. A +inf cost is a pair
+/// that never completes: its edge weighs −(n/2 · top + 2), where top is the
+/// largest finite weight, so one more such pair always outweighs anything
+/// the finite edges of a perfect matching can make up. The matcher
+/// therefore minimises the number of never-completing pairs first and the
+/// finite total second. NaN and −inf costs are rejected.
+std::vector<BlossomMatcher::Edge> quantize_costs(const CostMatrix& costs) {
+  const int n = costs.size();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double c = costs.at(i, j);
+      if (std::isnan(c) || (std::isinf(c) && c < 0.0)) {
+        throw MatchingError("blossom perfect matching: cost of pair " +
+                            pair_name(i, j) + " is " + std::to_string(c) +
+                            " (costs must be finite or +inf)");
+      }
+      if (std::isfinite(c)) {
+        lo = std::min(lo, c);
+        hi = std::max(hi, c);
+      }
+    }
+  }
+  // Rounding is monotone, so the largest w' is hi − lo.
+  const double maxabs = std::isfinite(hi) ? hi - lo : 0.0;
+  const double scale = grid_scale(maxabs);
+  const std::int64_t never =
+      -(static_cast<std::int64_t>(n / 2) * on_grid(maxabs, scale) + 2);
+  std::vector<BlossomMatcher::Edge> out;
+  out.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double c = costs.at(i, j);
+      out.push_back(BlossomMatcher::Edge{
+          i, j, std::isfinite(c) ? on_grid(hi - c, scale) : never});
+    }
+  }
+  return out;
+}
 
-std::vector<int> max_weight_matching(int n,
-                                     std::span<const WeightedEdge> edges,
-                                     bool max_cardinality) {
-  SIC_CHECK(n >= 0);
-  obs::MetricsRegistry* reg = obs::metrics();
-  obs::ScopedTimer timer{
+/// Times one blossom call into matching.blossom.wall_s / .calls.
+obs::ScopedTimer call_timer(obs::MetricsRegistry* reg) {
+  return obs::ScopedTimer{
       reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
       reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
-  BlossomMatcher matcher{n, quantize(edges), max_cardinality};
+}
+
+/// Solves \p matcher's instance over \p n vertices and publishes its work
+/// counters in one batch.
+std::vector<int> solve_published(BlossomMatcher& matcher, int n,
+                                 obs::MetricsRegistry* reg) {
   auto mate = matcher.solve();
   SIC_CHECK(is_valid_mate_vector(mate));
   if (reg != nullptr) {
@@ -634,6 +761,18 @@ std::vector<int> max_weight_matching(int n,
   return mate;
 }
 
+}  // namespace
+
+std::vector<int> max_weight_matching(int n,
+                                     std::span<const WeightedEdge> edges,
+                                     bool max_cardinality) {
+  SIC_CHECK(n >= 0);
+  obs::MetricsRegistry* reg = obs::metrics();
+  const auto timer = call_timer(reg);
+  BlossomMatcher matcher{n, quantize(edges), max_cardinality};
+  return solve_published(matcher, n, reg);
+}
+
 Matching min_weight_perfect_matching(const CostMatrix& costs) {
   const int n = costs.size();
   if (n % 2 != 0) {
@@ -643,18 +782,14 @@ Matching min_weight_perfect_matching(const CostMatrix& costs) {
   }
   Matching result;
   if (n == 0) return result;
-  double max_cost = -std::numeric_limits<double>::infinity();
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) max_cost = std::max(max_cost, costs.at(i, j));
+  std::vector<int> mate;
+  {
+    obs::MetricsRegistry* reg = obs::metrics();
+    const auto timer = call_timer(reg);
+    BlossomMatcher matcher{n, quantize_costs(costs), /*max_cardinality=*/true};
+    matcher.jump_start();
+    mate = solve_published(matcher, n, reg);
   }
-  std::vector<WeightedEdge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * (n - 1) / 2);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      edges.push_back(WeightedEdge{i, j, max_cost - costs.at(i, j)});
-    }
-  }
-  const auto mate = max_weight_matching(n, edges, /*max_cardinality=*/true);
   int unmatched = 0;
   for (int v = 0; v < n; ++v) {
     if (mate[v] == -1) ++unmatched;

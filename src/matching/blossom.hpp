@@ -12,8 +12,27 @@
 /// O(n³) for dense graphs. Edge weights are quantized onto an exact
 /// integer grid internally (relative precision ≈ 2⁻²⁶) so the dual updates
 /// never accumulate floating-point drift; results are exact optima of the
-/// quantized instance. Correctness is cross-checked against an exponential
-/// oracle in tests/matching_blossom_test.cpp.
+/// quantized instance. Adjacency is one flat CSR array (every neighbour
+/// list in one array, a start offset per vertex) whose entries carry the
+/// far vertex, the endpoint id and the quantized weight, and blossom
+/// bookkeeping reuses member scratch, so a solve allocates only up front.
+///
+/// min_weight_perfect_matching jump-starts the solve the way Blossom V
+/// does (Kolmogorov, Math. Prog. Comp. 1(1), 2009): each vertex's dual
+/// starts at its largest incident weight, then a greedy pass in index order
+/// makes one edge per vertex tight and matches free vertices across tight
+/// edges. Most stages then have nothing left to rescan. The optimum is the
+/// same, but ties between equal-total matchings — common in the scheduler,
+/// where serial partners can swap at equal cost — may resolve to a
+/// different optimal pairing than the uniform start would pick.
+/// max_weight_matching keeps the uniform start: its graphs may have no
+/// perfect matching, and then optimality needs equal duals on the vertices
+/// left single.
+///
+/// Correctness is cross-checked against an exponential oracle in
+/// tests/matching_blossom_test.cpp, and the two starts against each other
+/// on scheduler-shaped graphs up to n ≈ 300 in
+/// tests/matching_stress_test.cpp.
 
 #include <span>
 #include <vector>
@@ -26,7 +45,8 @@ namespace sic::matching {
 ///
 /// \param n vertex count; vertices are 0..n-1.
 /// \param edges undirected weighted edges (no self-loops; parallel edges
-///        allowed, the heavier one wins).
+///        allowed, the heavier one wins). A non-finite weight throws
+///        MatchingError naming the edge.
 /// \param max_cardinality when true, only maximum-cardinality matchings are
 ///        considered and weight is maximized among them.
 /// \return mate vector: mate[v] is v's partner or -1 when single.
@@ -36,7 +56,11 @@ namespace sic::matching {
 /// Minimum-weight perfect matching on the complete graph described by
 /// \p costs. Requires an even vertex count (the scheduler adds the dummy
 /// client for odd counts before calling this). Implemented via the standard
-/// reduction w' = max_cost − cost with max-cardinality matching.
+/// reduction w' = max_cost − cost with max-cardinality matching, taking
+/// max_cost and the quantization grid from the finite costs. A +inf cost
+/// (a client below the base rate) is a pair that never completes: the
+/// result first has as few of those as possible, then the least finite
+/// total. A NaN or −inf cost throws MatchingError naming the pair.
 [[nodiscard]] Matching min_weight_perfect_matching(const CostMatrix& costs);
 
 }  // namespace sic::matching

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "matching/error.hpp"
 #include "matching/oracle.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace sic::matching {
@@ -164,6 +170,37 @@ TEST(Blossom, NegativeWeightsIgnoredUnlessMaxCardinality) {
   EXPECT_EQ(mate, (std::vector<int>{-1, 3, 4, 1, 2}));
 }
 
+TEST(Blossom, TieBreakingPinnedOnSeededGraphs) {
+  // Which optimum the uniform-start matcher returns among equal-weight
+  // ones follows from its exact step order. This hash over the mate
+  // vectors of 2000 seeded graphs (half with 0..4 integer weights, so ties
+  // are everywhere) pins that order, so a refactor that reorders a scan or
+  // a tie-break fails here even when every answer stays optimal. Raw
+  // SplitMix64 bits keep the instances independent of the standard
+  // library's distributions.
+  SplitMix64 bits{20260};
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = 2 + static_cast<int>(bits.next() % 39);
+    const std::uint64_t keep = 30 + bits.next() % 71;  // edge odds, percent
+    const bool ties = trial % 2 == 0;
+    std::vector<WeightedEdge> edges;
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if (bits.next() % 100 >= keep) continue;
+        const std::uint64_t r = bits.next();
+        const double w = ties ? static_cast<double>(r % 5)
+                              : static_cast<double>(r >> 11) * 0x1p-53 * 100.0;
+        edges.push_back(WeightedEdge{i, j, w});
+      }
+    }
+    for (const int m : max_weight_matching(n, edges, trial % 4 < 2)) {
+      hash = (hash ^ static_cast<std::uint64_t>(m + 1)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(hash, 2189236691234385351ULL);
+}
+
 /// Randomized cross-check against the exponential oracle, parameterized by
 /// graph density.
 class BlossomVsOracle : public ::testing::TestWithParam<double> {};
@@ -278,6 +315,56 @@ TEST(MinWeightPerfect, LargerInstanceAgainstOracle) {
   EXPECT_NEAR(blossom.total_cost, oracle.total_cost, 1e-6);
 }
 
+TEST(MinWeightPerfect, GridSpansTheFiniteCostRangeNotItsMagnitude) {
+  // Costs 1e6 apart from sub-milli differences: the quantisation grid
+  // must cover max − min, not max, or the differences round away.
+  Rng rng{77};
+  for (int trial = 0; trial < 20; ++trial) {
+    constexpr int n = 10;
+    CostMatrix costs{n};
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        costs.set(i, j, 1e6 + rng.uniform(0.0, 1e-3));
+      }
+    }
+    const auto blossom = min_weight_perfect_matching(costs);
+    const auto oracle = min_weight_perfect_matching_oracle(costs);
+    EXPECT_NEAR(blossom.total_cost, oracle.total_cost, 1e-7)
+        << "trial " << trial;
+  }
+}
+
+TEST(MinWeightPerfect, JumpStartLeavesFewStages) {
+  // The jump start's greedy pass matches most vertices before the first
+  // stage, so far fewer stages run than from the uniform start, which
+  // needs one per augmentation (n/2) plus a last one.
+  Rng rng{64};
+  constexpr int n = 64;
+  CostMatrix costs{n};
+  double top = 0.0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      costs.set(i, j, rng.uniform(1.0, 100.0));
+      top = std::max(top, costs.at(i, j));
+    }
+  }
+  std::vector<WeightedEdge> edges = costs.edges();
+  for (auto& e : edges) e.weight = top - e.weight;
+  const auto stages = [](auto&& solve) {
+    obs::MetricsRegistry registry;
+    obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+    solve();
+    obs::set_metrics(prev);
+    return registry.counter("matching.blossom.stages").value();
+  };
+  const auto jump =
+      stages([&] { (void)min_weight_perfect_matching(costs); });
+  const auto uniform =
+      stages([&] { (void)max_weight_matching(n, edges, true); });
+  EXPECT_EQ(uniform, static_cast<std::uint64_t>(n / 2 + 1));
+  EXPECT_LT(2 * jump, uniform);
+}
+
 TEST(MinWeightPerfect, OddCountRejected) {
   CostMatrix costs{5};
   // Typed error (not the SIC_CHECK logic_error): the CLI maps it to its
@@ -287,6 +374,93 @@ TEST(MinWeightPerfect, OddCountRejected) {
     FAIL() << "odd vertex count must throw MatchingError";
   } catch (const MatchingError& e) {
     EXPECT_NE(std::string{e.what()}.find("5"), std::string::npos);
+  }
+}
+
+TEST(MinWeightPerfect, InfiniteCostPairsAvoidedWhenPossible) {
+  // +inf is a pair that never completes (a client below the base rate).
+  // A perfect matching of finite pairs exists, so it must win outright.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CostMatrix costs{4};
+  costs.set(0, 1, 1.0);
+  costs.set(2, 3, 1.5);
+  costs.set(0, 2, 2.0);
+  costs.set(1, 3, 3.0);
+  costs.set(0, 3, kInf);
+  costs.set(1, 2, kInf);
+  const auto m = min_weight_perfect_matching(costs);
+  EXPECT_EQ(m.pairs, (std::vector<std::pair<int, int>>{{0, 1}, {2, 3}}));
+  EXPECT_DOUBLE_EQ(m.total_cost, 2.5);
+}
+
+TEST(MinWeightPerfect, FewerNeverCompletingPairsBeatAnyFiniteSaving) {
+  // {(0,1), (2,3)} would save 199 on the finite part but keeps a +inf
+  // pair; the all-finite {(0,2), (1,3)} must win.
+  CostMatrix costs{4};
+  costs.set(0, 1, std::numeric_limits<double>::infinity());
+  costs.set(2, 3, 0.0);
+  costs.set(0, 2, 100.0);
+  costs.set(1, 3, 99.0);
+  costs.set(0, 3, 100.0);
+  costs.set(1, 2, 100.0);
+  const auto m = min_weight_perfect_matching(costs);
+  EXPECT_EQ(m.pairs, (std::vector<std::pair<int, int>>{{0, 2}, {1, 3}}));
+  EXPECT_DOUBLE_EQ(m.total_cost, 199.0);
+}
+
+TEST(MinWeightPerfect, UnservableVertexTakesThePartnerThatCostsLeast) {
+  // Scheduler-shaped: pair cost = serial sum of solo airtimes except two
+  // cheaper SIC pairs, and vertex 5 cannot be served at all. One
+  // never-completing pair is unavoidable; the rest must still be optimal,
+  // which pairs 5 with 4 and keeps both SIC pairs.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double solo[] = {1.0, 2.0, 3.0, 4.0, 10.0, kInf};
+  CostMatrix costs{6};
+  for (int i = 0; i < 6; ++i) {
+    for (int j = i + 1; j < 6; ++j) costs.set(i, j, solo[i] + solo[j]);
+  }
+  costs.set(0, 2, 3.2);
+  costs.set(1, 3, 4.5);
+  const auto m = min_weight_perfect_matching(costs);
+  EXPECT_EQ(m.pairs,
+            (std::vector<std::pair<int, int>>{{0, 2}, {1, 3}, {4, 5}}));
+  EXPECT_TRUE(std::isinf(m.total_cost));
+}
+
+TEST(MinWeightPerfect, AllInfiniteCostsStillPairEveryVertex) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CostMatrix costs{6, kInf};
+  const auto m = min_weight_perfect_matching(costs);
+  EXPECT_EQ(m.pairs.size(), 3U);
+}
+
+TEST(MinWeightPerfect, NanOrNegativeInfiniteCostRejectedNamingThePair) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    CostMatrix costs{4, 1.0};
+    costs.set(1, 3, bad);
+    try {
+      (void)min_weight_perfect_matching(costs);
+      FAIL() << "cost " << bad << " must throw MatchingError";
+    } catch (const MatchingError& e) {
+      EXPECT_NE(std::string{e.what()}.find("(1, 3)"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Blossom, NonFiniteEdgeWeightRejectedNamingTheEdge) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const WeightedEdge edges[] = {{0, 1, 1.0}, {2, 1, bad}, {2, 3, 2.0}};
+    try {
+      (void)max_weight_matching(4, edges, true);
+      FAIL() << "weight " << bad << " must throw MatchingError";
+    } catch (const MatchingError& e) {
+      EXPECT_NE(std::string{e.what()}.find("(2, 1)"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
