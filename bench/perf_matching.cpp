@@ -1,15 +1,15 @@
 /// Performance of the matching engines: the O(n³) blossom matcher (the
 /// paper quotes O(n²m) for Edmonds; our dense implementation is O(n³)),
-/// the greedy heuristic, the approximate tier (greedy + 2-opt postpass),
-/// and the exponential oracle. Also reports the exact-vs-heuristic quality
-/// gaps as counters (schedule cost ratios).
+/// the serial-aware blossom entry the scheduler runs (blossom over the
+/// pairs that beat serial), the greedy heuristic, and the exponential
+/// oracle. Also reports greedy's exact-vs-heuristic quality gap as a
+/// counter (schedule cost ratio).
 ///
 /// Unlike the other perf binaries this one emits an *extended* one-line
-/// JSON summary: besides wall_ms/throughput it carries the approximate
-/// tier's headline numbers — samples/sec for blossom and approx at n = 256,
-/// their ratio (the speedup the scaling tier buys), and the deterministic
-/// scheduler-level airtime gap at n <= 64 — so the bench gate can pin the
-/// speedup and the quality floor from day one.
+/// JSON summary: besides wall_ms/throughput it carries samples/sec at
+/// n = 256 for the dense blossom entry on uniform random costs and for the
+/// serial-aware entry on a seeded WLAN upload, so the bench gate can pin
+/// each matcher's own throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +19,6 @@
 
 #include "channel/link.hpp"
 #include "core/scheduler.hpp"
-#include "matching/approx.hpp"
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/oracle.hpp"
@@ -64,18 +63,48 @@ void BM_GreedyPerfectMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyPerfectMatching)->RangeMultiplier(2)->Range(8, 128);
 
-void BM_ApproxPerfectMatching(benchmark::State& state) {
-  // The scaling tier: greedy seed + deterministic 2-opt postpass, dense
-  // input (sparsification is exercised at the scheduler level where serial
-  // baselines exist). Extends past blossom's bench range on purpose.
+/// The scheduler's instance: a seeded 256-client Shannon upload at SNRs
+/// uniform in [0, 30] dB. Pair costs come from best_pair_plan and serial
+/// costs from solo_airtime, exactly as the pair-cost engine builds them;
+/// the first n clients form the n-vertex instance.
+struct GainInstance {
+  CostMatrix costs{0};
+  std::vector<double> serial;
+};
+
+GainInstance upload_instance(int n) {
+  const phy::ShannonRateAdapter adapter{megahertz(20.0)};
+  Rng rng{1};
+  std::vector<channel::LinkBudget> clients;
+  for (int i = 0; i < 256; ++i) {
+    clients.push_back(channel::LinkBudget{
+        Milliwatts{Decibels{rng.uniform(0.0, 30.0)}.linear()},
+        Milliwatts{1.0}});
+  }
+  const core::SchedulerOptions options;
+  GainInstance out{CostMatrix{n}, {}};
+  for (int i = 0; i < n; ++i) {
+    out.serial.push_back(
+        core::solo_airtime(clients[i], adapter, options.packet_bits));
+    for (int j = i + 1; j < n; ++j) {
+      out.costs.set(
+          i, j,
+          core::best_pair_plan(clients[i], clients[j], adapter, options)
+              .airtime);
+    }
+  }
+  return out;
+}
+
+void BM_GainBlossomPerfectMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const auto costs = random_costs(n, 42);
+  const GainInstance instance = upload_instance(n);
   for (auto _ : state) {
-    const auto m = approx_min_weight_perfect_matching(costs);
+    const auto m = min_weight_perfect_matching(instance.costs, instance.serial);
     benchmark::DoNotOptimize(m.total_cost);
   }
 }
-BENCHMARK(BM_ApproxPerfectMatching)->RangeMultiplier(2)->Range(8, 256);
+BENCHMARK(BM_GainBlossomPerfectMatching)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_OraclePerfectMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -106,24 +135,6 @@ void BM_GreedyQualityGap(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyQualityGap)->Arg(16)->Arg(64);
 
-void BM_ApproxQualityGap(benchmark::State& state) {
-  // Companion counter: the 2-opt postpass claws back most of greedy's gap.
-  const int n = static_cast<int>(state.range(0));
-  std::uint64_t seed = 1;
-  double ratio_sum = 0.0;
-  int count = 0;
-  for (auto _ : state) {
-    const auto costs = random_costs(n, seed++);
-    const double exact = min_weight_perfect_matching(costs).total_cost;
-    const double approx = approx_min_weight_perfect_matching(costs).total_cost;
-    ratio_sum += approx / exact;
-    ++count;
-    benchmark::DoNotOptimize(approx);
-  }
-  state.counters["approx/optimal"] = ratio_sum / count;
-}
-BENCHMARK(BM_ApproxQualityGap)->Arg(16)->Arg(64);
-
 // ---------------------------------------------------------------------------
 // Summary measurements behind the one-line JSON (bench-gate pins).
 // ---------------------------------------------------------------------------
@@ -145,38 +156,6 @@ double samples_per_sec(F&& run) {
   return static_cast<double>(iters) / elapsed;
 }
 
-/// Deterministic scheduler-level quality measure: worst relative
-/// total-airtime excess of the approximate tier over exact blossom across
-/// seeded random WLAN uploads at n <= 64. Pure computation over fixed
-/// seeds — identical on every machine — so the gate can pin it tightly.
-double worst_airtime_gap_frac() {
-  const phy::ShannonRateAdapter adapter{megahertz(20.0)};
-  double worst = 0.0;
-  for (const int n : {16, 32, 64}) {
-    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-      Rng rng{seed};
-      std::vector<channel::LinkBudget> clients;
-      clients.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        clients.push_back(channel::LinkBudget{
-            Milliwatts{Decibels{rng.uniform(0.0, 30.0)}.linear()},
-            Milliwatts{1.0}});
-      }
-      core::SchedulerOptions exact_opts;
-      exact_opts.pairing = core::SchedulerOptions::Pairing::kBlossom;
-      core::SchedulerOptions approx_opts;
-      approx_opts.pairing = core::SchedulerOptions::Pairing::kApprox;
-      const double exact =
-          core::schedule_upload(clients, adapter, exact_opts).total_airtime;
-      const double approx =
-          core::schedule_upload(clients, adapter, approx_opts).total_airtime;
-      const double gap = (approx - exact) / exact;
-      if (gap > worst) worst = gap;
-    }
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,17 +175,17 @@ int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n_run = benchmark::RunSpecifiedBenchmarks();
 
-  // Headline A/B at n = 256: the backlog size where exact matching stops
-  // being affordable and the auto tier has long since crossed over.
+  // Headline throughputs at n = 256: the dense entry on uniform random
+  // costs, and the serial-aware entry on the scheduler's own instance.
   const auto costs = random_costs(256, 42);
   const double blossom_sps = samples_per_sec([&costs] {
     benchmark::DoNotOptimize(min_weight_perfect_matching(costs).total_cost);
   });
-  const double approx_sps = samples_per_sec([&costs] {
+  const GainInstance upload = upload_instance(256);
+  const double gain_blossom_sps = samples_per_sec([&upload] {
     benchmark::DoNotOptimize(
-        approx_min_weight_perfect_matching(costs).total_cost);
+        min_weight_perfect_matching(upload.costs, upload.serial).total_cost);
   });
-  const double gap = worst_airtime_gap_frac();
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
@@ -216,12 +195,8 @@ int main(int argc, char** argv) {
   std::printf(
       "{\"bench\":\"perf_matching\",\"wall_ms\":%.1f,\"throughput\":%.3f,"
       "\"blossom_samples_per_sec_n256\":%.2f,"
-      "\"approx_samples_per_sec_n256\":%.2f,"
-      "\"approx_speedup_n256\":%.2f,"
-      "\"airtime_gap_frac_n64\":%.5f,"
-      "\"airtime_match_frac_n64\":%.5f}\n",
-      wall_ms, throughput, blossom_sps, approx_sps,
-      blossom_sps > 0.0 ? approx_sps / blossom_sps : 0.0, gap, 1.0 - gap);
+      "\"gain_blossom_samples_per_sec_n256\":%.2f}\n",
+      wall_ms, throughput, blossom_sps, gain_blossom_sps);
   benchmark::Shutdown();
   return 0;
 }

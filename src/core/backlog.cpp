@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/matching_tier.hpp"
 #include "core/upload_pair.hpp"
 #include "util/check.hpp"
 #include "util/mathx.hpp"
@@ -112,9 +111,8 @@ BacklogSchedule schedule_backlog_upload(std::span<const BacklogClient> clients,
   const int m = odd ? n + 1 : n;
   const int dummy = odd ? n : -1;
   std::vector<DrainPlan> plans(static_cast<std::size_t>(m) * m);
-  // Per-vertex solo drain times double as the approximate tier's
-  // sparsification baseline (0 for the dummy: its edges always drop and
-  // the fallback closes them).
+  // Solo drain times are the serial costs (0 for the dummy): a drain plan
+  // starts at their sum and moves only on a strict <.
   std::vector<double> solo(static_cast<std::size_t>(m), 0.0);
   matching::CostMatrix costs{m};
   for (int i = 0; i < n; ++i) {
@@ -134,10 +132,8 @@ BacklogSchedule schedule_backlog_upload(std::span<const BacklogClient> clients,
   }
 
   std::vector<matching::WeightedEdge> edge_scratch;
-  const matching::Matching matching = run_matching_tier(
-      costs,
-      resolve_matching_tier(options.pairing, n, options.auto_tier_threshold),
-      solo, Decibels{0.0}, edge_scratch);
+  const matching::Matching matching =
+      run_pairing(costs, options.pairing, solo, edge_scratch);
 
   for (const auto& [u, v] : matching.pairs) {
     const int i = std::min(u, v);

@@ -19,8 +19,10 @@
 ///                  leftovers serial.
 ///
 /// The pairing layer then runs the same minimum-weight-perfect-matching
-/// reduction as the single-packet scheduler, with pair costs equal to the
-/// best drain time.
+/// reduction as the single-packet scheduler (run_pairing), with pair costs
+/// equal to the best drain time and solo drain times as serial costs. A
+/// client below the base rate never drains (+inf); exact pairing never
+/// takes its partner from a pair that beats serial.
 
 #include <span>
 #include <vector>
@@ -55,9 +57,6 @@ struct BacklogOptions {
   double packet_bits = 12000.0;
   bool enable_packing = true;     ///< allow the packed-trains discipline
   SchedulerOptions::Pairing pairing = SchedulerOptions::Pairing::kBlossom;
-  /// kAuto crossover (same convention as SchedulerOptions): backlogs of
-  /// this many clients or more pair with the approximate tier.
-  int auto_tier_threshold = 64;
 };
 
 struct DrainPlan {

@@ -204,6 +204,8 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
   const std::size_t n = static_cast<std::size_t>(n_);
   obs::MetricsRegistry* reg = obs::metrics();
   costs_.reset(m);
+  // Serial costs for run_pairing: solo airtimes, 0 for the dummy.
+  serial_scratch_.assign(static_cast<std::size_t>(m), 0.0);
   {
     obs::ScopedTimer kernel_timer{
         reg != nullptr
@@ -211,6 +213,8 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
             : nullptr};
     for (int u = 0; u < k; ++u) {
       const int gi = idx[static_cast<std::size_t>(u)];
+      serial_scratch_[static_cast<std::size_t>(u)] =
+          solo_airtime_[static_cast<std::size_t>(gi)];
       row_cols_.clear();
       for (int v = u + 1; v < k; ++v) {
         const int gj = idx[static_cast<std::size_t>(v)];
@@ -230,44 +234,13 @@ Schedule PairCostEngine::schedule_indices(std::span<const int> idx) {
         costs_.set(u, v, plans_[a * n + b].airtime);
       }
       if (odd) {
-        costs_.set(u, dummy, solo_airtime_[static_cast<std::size_t>(gi)]);
+        costs_.set(u, dummy, serial_scratch_[static_cast<std::size_t>(u)]);
       }
     }
   }
 
-  // Per-vertex serial (solo) cost feeding the approximate tier's
-  // sparsification; the dummy's is 0 so its edges are always dropped and
-  // the fallback pairs it.
-  serial_scratch_.resize(static_cast<std::size_t>(m));
-  for (int u = 0; u < k; ++u) {
-    serial_scratch_[static_cast<std::size_t>(u)] =
-        solo_airtime_[static_cast<std::size_t>(idx[static_cast<std::size_t>(u)])];
-  }
-  if (odd) serial_scratch_[static_cast<std::size_t>(dummy)] = 0.0;
-
-  const MatchingTier tier =
-      resolve_matching_tier(options_.pairing, k, options_.auto_tier_threshold);
-  last_tier_ = tier;
   const matching::Matching matching =
-      run_matching_tier(costs_, tier, serial_scratch_,
-                        options_.admission_margin_db, edge_scratch_);
-  // kAuto below the threshold: also run the approximate matcher
-  // observationally and publish the relative total-airtime gap — the
-  // calibration signal for choosing the crossover. Observer-pure: the
-  // schedule is built from the exact matching either way, and this branch
-  // only runs with a registry attached.
-  if (options_.pairing == SchedulerOptions::Pairing::kAuto &&
-      tier == MatchingTier::kBlossom && reg != nullptr &&
-      matching.total_cost > 0.0 && std::isfinite(matching.total_cost)) {
-    const matching::Matching shadow =
-        run_matching_tier(costs_, MatchingTier::kApprox, serial_scratch_,
-                          options_.admission_margin_db, edge_scratch_);
-    if (std::isfinite(shadow.total_cost)) {
-      reg->histogram("scheduler.matching.gap")
-          .observe((shadow.total_cost - matching.total_cost) /
-                   matching.total_cost);
-    }
-  }
+      run_pairing(costs_, options_.pairing, serial_scratch_, edge_scratch_);
 
   for (const auto& [a, b] : matching.pairs) {
     const int u = std::min(a, b);

@@ -23,6 +23,9 @@
 ///    instead of O(n²), with the plan table and cost matrix reused across
 ///    rounds instead of reallocated.
 ///
+/// A plan starts at the pair's serial sum and moves only on a strict <, so
+/// the matrix meets run_pairing's bound with the solo airtimes as serial.
+///
 /// Contract: schedules are bit-identical to the historical from-scratch
 /// path (same PairPlans, same matching input, same slot order) whenever the
 /// invalidation epsilon is 0 dB — the default — because the cache only ever
@@ -42,7 +45,6 @@
 #include <vector>
 
 #include "channel/link.hpp"
-#include "core/matching_tier.hpp"
 #include "core/scheduler.hpp"
 #include "matching/graph.hpp"
 #include "phy/rate_adapter.hpp"
@@ -85,11 +87,6 @@ class PairCostEngine {
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] const SchedulerOptions& options() const { return options_; }
   [[nodiscard]] const PairCostEngineStats& stats() const { return stats_; }
-
-  /// The concrete matcher the most recent schedule()/schedule_subset()
-  /// resolved to (meaningful once a build with >= 2 clients ran); how a
-  /// kAuto policy reports which side of the threshold it landed on.
-  [[nodiscard]] MatchingTier last_matching_tier() const { return last_tier_; }
 
   /// The schedule over all clients; recomputes dirty pairs only.
   [[nodiscard]] Schedule schedule();
@@ -143,9 +140,8 @@ class PairCostEngine {
   std::vector<double> row_sinr_;                   ///< both SIC SINR lanes
   std::vector<BitsPerSecond> row_rates_;           ///< rate_span results
   std::vector<double> serial_scratch_;             ///< per-vertex solo airtime
-  std::vector<matching::WeightedEdge> edge_scratch_;
+  std::vector<matching::WeightedEdge> edge_scratch_;  ///< greedy's edges
 
-  MatchingTier last_tier_ = MatchingTier::kBlossom;
   PairCostEngineStats stats_;
   PairCostEngineStats published_;  ///< high-water mark already published
 };

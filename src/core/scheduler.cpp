@@ -7,6 +7,8 @@
 #include "core/multirate.hpp"
 #include "core/pair_cost_engine.hpp"
 #include "core/power_control.hpp"
+#include "matching/blossom.hpp"
+#include "matching/greedy.hpp"
 #include "util/check.hpp"
 
 namespace sic::core {
@@ -64,6 +66,16 @@ PairPlan best_pair_plan(const channel::LinkBudget& a,
       solo_airtime(a, adapter, options.packet_bits) +
           solo_airtime(b, adapter, options.packet_bits),
       options);
+}
+
+matching::Matching run_pairing(
+    const matching::CostMatrix& costs, SchedulerOptions::Pairing pairing,
+    std::span<const double> serial,
+    std::vector<matching::WeightedEdge>& edge_scratch) {
+  if (pairing == SchedulerOptions::Pairing::kGreedy) {
+    return matching::greedy_min_weight_perfect_matching(costs, edge_scratch);
+  }
+  return matching::min_weight_perfect_matching(costs, serial);
 }
 
 double serial_upload_airtime(std::span<const channel::LinkBudget> clients,

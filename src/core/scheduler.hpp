@@ -22,6 +22,7 @@
 
 #include "channel/link.hpp"
 #include "core/upload_pair.hpp"
+#include "matching/graph.hpp"
 #include "phy/rate_adapter.hpp"
 
 namespace sic::core {
@@ -50,19 +51,10 @@ struct SchedulerOptions {
   double packet_bits = 12000.0;
   bool enable_power_control = false;  ///< Section 5.2
   bool enable_multirate = false;      ///< Section 5.3
-  enum class Pairing {
-    kBlossom,  ///< exact minimum-weight perfect matching (the paper)
+  enum class Pairing {  ///< the matcher run_pairing dispatches to
+    kBlossom,  ///< exact (the paper): blossom over pairs that beat serial
     kGreedy,   ///< cheapest-pair-first heuristic (ablation baseline)
-    kApprox,   ///< sparsified greedy + 2-opt postpass (scaling tier)
-    kAuto,     ///< blossom below auto_tier_threshold clients, approx above
   } pairing = Pairing::kBlossom;
-  /// kAuto crossover: backlogs of auto_tier_threshold or more clients use
-  /// the approximate tier, smaller ones exact blossom. At sizes just below
-  /// the threshold kAuto also runs the approximate matcher observationally
-  /// and publishes the relative total-airtime gap as the
-  /// scheduler.matching.gap histogram (observer purity: the schedule
-  /// itself always comes from the exact tier there).
-  int auto_tier_threshold = 64;
   /// Margin-aware pair admission: concurrent candidates (SIC, power
   /// control, multirate) are planned as if every RSS were this many dB
   /// lower, so an admitted pair carries that much SINR headroom against
@@ -72,16 +64,6 @@ struct SchedulerOptions {
   /// paper's perfect-knowledge plan exactly.
   Decibels admission_margin_db{0.0};
 };
-
-[[nodiscard]] constexpr const char* to_string(SchedulerOptions::Pairing p) {
-  switch (p) {
-    case SchedulerOptions::Pairing::kBlossom: return "blossom";
-    case SchedulerOptions::Pairing::kGreedy: return "greedy";
-    case SchedulerOptions::Pairing::kApprox: return "approx";
-    case SchedulerOptions::Pairing::kAuto: return "auto";
-  }
-  return "?";
-}
 
 /// The chosen transmission plan for one pair (or solo client).
 struct PairPlan {
@@ -111,6 +93,14 @@ struct PairPlan {
 [[nodiscard]] PairPlan best_pair_plan_from_context(
     const UploadPairContext& ctx, double serial_airtime,
     const SchedulerOptions& options);
+
+/// The Fig. 12 matching step of the pair-cost engine and backlog planner.
+/// \p serial holds solo airtimes (0 for the dummy); no pair may cost more
+/// than its two summed. \p edge_scratch keeps greedy's edges across calls.
+[[nodiscard]] matching::Matching run_pairing(
+    const matching::CostMatrix& costs, SchedulerOptions::Pairing pairing,
+    std::span<const double> serial,
+    std::vector<matching::WeightedEdge>& edge_scratch);
 
 /// One slot of the final schedule. Client indices refer to the input span;
 /// second == -1 marks the odd client transmitting alone.

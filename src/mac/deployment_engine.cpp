@@ -171,11 +171,6 @@ struct DeploymentEngine::ApState {
   std::unique_ptr<core::PairCostEngine> pce;
   core::Schedule schedule;
   std::vector<int> sched_members;  ///< members the schedule indexes
-  /// Matching tier the last rematch resolved to (-1 = never matched /
-  /// serial ladder); flight-recorded on change from the sequential
-  /// aggregate phase, so a kAuto fleet's per-AP tier crossings land in the
-  /// post-mortem thread-invariantly.
-  int last_tier = -1;
   UploadSimResult last;
   // Health bookkeeping (pure observation: nothing below feeds a decision).
   double last_health = 1.0;
@@ -706,16 +701,6 @@ EpochStats DeploymentEngine::run_epoch() {
     if (ap.rematched_this_epoch) {
       ++stats.rematched_aps;
       ap.rematched_this_epoch = false;
-      // Tier telemetry: record which matcher the rematch resolved to, once
-      // per change (sequential phase — thread-invariant event stream).
-      if (ap.pce != nullptr && ap.pce->size() >= 2) {
-        const int tier = static_cast<int>(ap.pce->last_matching_tier());
-        if (tier != ap.last_tier) {
-          ap.last_tier = tier;
-          flight_event(epoch_, id, -1, "matching.tier",
-                       core::to_string(ap.pce->last_matching_tier()));
-        }
-      }
     }
     for (std::size_t i = 0; i < ap.sched_members.size(); ++i) {
       const int m = ap.sched_members[i];

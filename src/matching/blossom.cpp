@@ -28,7 +28,7 @@ class BlossomMatcher {
   };
 
   /// Work counters accumulated as plain integers on the hot path and
-  /// published in one batch by solve_published (obs batch idiom).
+  /// published in one batch by solve_timed (obs batch idiom).
   /// edge_visits counts the stage scans' adjacency reads only.
   struct SolveStats {
     std::uint64_t stages = 0;
@@ -736,17 +736,75 @@ std::vector<BlossomMatcher::Edge> quantize_costs(const CostMatrix& costs) {
   return out;
 }
 
-/// Times one blossom call into matching.blossom.wall_s / .calls.
-obs::ScopedTimer call_timer(obs::MetricsRegistry* reg) {
-  return obs::ScopedTimer{
-      reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
-      reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
+void require_even(int n) {
+  if (n % 2 != 0) {
+    throw MatchingError(
+        "blossom perfect matching requires an even vertex count, got n = " +
+        std::to_string(n));
+  }
 }
 
-/// Solves \p matcher's instance over \p n vertices and publishes its work
-/// counters in one batch.
-std::vector<int> solve_published(BlossomMatcher& matcher, int n,
-                                 obs::MetricsRegistry* reg) {
+/// The pairs of a perfect \p mate vector in index order, with their total.
+Matching to_matching(const CostMatrix& costs, std::span<const int> mate) {
+  Matching result;
+  for (int v = 0; v < static_cast<int>(mate.size()); ++v) {
+    if (v < mate[v]) {
+      result.pairs.emplace_back(v, mate[v]);
+      result.total_cost += costs.at(v, mate[v]);
+    }
+  }
+  return result;
+}
+
+/// The gain graph, in row-major order on max_weight_matching's grid: an
+/// edge g = serial[i] + serial[j] − cost for each pair with g > 0, none at
+/// an unservable (+inf) vertex. A first pass validates and sizes it.
+std::vector<BlossomMatcher::Edge> quantize_gains(
+    const CostMatrix& costs, std::span<const double> serial) {
+  const int n = costs.size();
+  const auto gain_of = [&](int i, int j) {
+    const double c = costs.at(i, j);
+    const double sum = serial[i] + serial[j];
+    if (!(c <= sum) || c == -std::numeric_limits<double>::infinity()) {
+      throw MatchingError("blossom perfect matching: pair " + pair_name(i, j) +
+                          " costs " + std::to_string(c) + ", outside (-inf, " +
+                          std::to_string(sum) + "], its serial sum");
+    }
+    return std::isfinite(sum) ? sum - c : 0.0;
+  };
+  double top = 0.0;
+  std::size_t kept = 0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double g = gain_of(i, j);
+      top = std::max(top, g);
+      kept += g > 0.0 ? 1 : 0;
+    }
+  }
+  const double scale = grid_scale(top);
+  std::vector<BlossomMatcher::Edge> out;
+  out.reserve(kept);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double g = gain_of(i, j);
+      if (g > 0.0) out.push_back(BlossomMatcher::Edge{i, j, on_grid(g, scale)});
+    }
+  }
+  return out;
+}
+
+/// One blossom call over \p n vertices: builds the quantised edges with
+/// \p build, solves (jump-started if asked), and times the whole call into
+/// matching.blossom.wall_s / .calls. Work counters publish in one batch.
+template <typename Build>
+std::vector<int> solve_timed(int n, Build&& build, bool max_cardinality,
+                             bool jump_start) {
+  obs::MetricsRegistry* reg = obs::metrics();
+  const obs::ScopedTimer timer{
+      reg != nullptr ? &reg->histogram("matching.blossom.wall_s") : nullptr,
+      reg != nullptr ? &reg->counter("matching.blossom.calls") : nullptr};
+  BlossomMatcher matcher{n, build(), max_cardinality};
+  if (jump_start) matcher.jump_start();
   auto mate = matcher.solve();
   SIC_CHECK(is_valid_mate_vector(mate));
   if (reg != nullptr) {
@@ -767,29 +825,17 @@ std::vector<int> max_weight_matching(int n,
                                      std::span<const WeightedEdge> edges,
                                      bool max_cardinality) {
   SIC_CHECK(n >= 0);
-  obs::MetricsRegistry* reg = obs::metrics();
-  const auto timer = call_timer(reg);
-  BlossomMatcher matcher{n, quantize(edges), max_cardinality};
-  return solve_published(matcher, n, reg);
+  return solve_timed(n, [&] { return quantize(edges); }, max_cardinality,
+                     /*jump_start=*/false);
 }
 
 Matching min_weight_perfect_matching(const CostMatrix& costs) {
   const int n = costs.size();
-  if (n % 2 != 0) {
-    throw MatchingError(
-        "blossom perfect matching requires an even vertex count, got n = " +
-        std::to_string(n));
-  }
-  Matching result;
-  if (n == 0) return result;
-  std::vector<int> mate;
-  {
-    obs::MetricsRegistry* reg = obs::metrics();
-    const auto timer = call_timer(reg);
-    BlossomMatcher matcher{n, quantize_costs(costs), /*max_cardinality=*/true};
-    matcher.jump_start();
-    mate = solve_published(matcher, n, reg);
-  }
+  require_even(n);
+  if (n == 0) return {};
+  const std::vector<int> mate =
+      solve_timed(n, [&] { return quantize_costs(costs); },
+                  /*max_cardinality=*/true, /*jump_start=*/true);
   int unmatched = 0;
   for (int v = 0; v < n; ++v) {
     if (mate[v] == -1) ++unmatched;
@@ -799,13 +845,45 @@ Matching min_weight_perfect_matching(const CostMatrix& costs) {
                         " of " + std::to_string(n) +
                         " vertices unmatched (matching is not perfect)");
   }
+  return to_matching(costs, mate);
+}
+
+Matching min_weight_perfect_matching(const CostMatrix& costs,
+                                     std::span<const double> serial) {
+  const int n = costs.size();
+  require_even(n);
+  if (serial.size() != static_cast<std::size_t>(n)) {
+    throw MatchingError("blossom perfect matching: " +
+                        std::to_string(serial.size()) +
+                        " serial costs for n = " + std::to_string(n));
+  }
   for (int v = 0; v < n; ++v) {
-    if (v < mate[v]) {
-      result.pairs.emplace_back(v, mate[v]);
-      result.total_cost += costs.at(v, mate[v]);
+    if (!(serial[v] >= 0.0)) {
+      throw MatchingError("blossom perfect matching: vertex " +
+                          std::to_string(v) + " has serial cost " +
+                          std::to_string(serial[v]) + " (must be >= 0)");
     }
   }
-  return result;
+  if (n == 0) return {};
+  std::vector<int> mate =
+      solve_timed(n, [&] { return quantize_gains(costs, serial); },
+                  /*max_cardinality=*/false, /*jump_start=*/false);
+  // Pair the singles in index order, unservable ones first. No two share a
+  // positive-gain edge (it would extend the matching), so each has g = 0.
+  for (const bool unservable_only : {true, false}) {
+    int waiting = -1;
+    for (int v = 0; v < n; ++v) {
+      if (mate[v] != -1 || (unservable_only && std::isfinite(serial[v]))) {
+        continue;
+      }
+      if (waiting != -1) {
+        mate[waiting] = v;
+        mate[v] = waiting;
+      }
+      waiting = waiting == -1 ? v : -1;
+    }
+  }
+  return to_matching(costs, mate);
 }
 
 }  // namespace sic::matching

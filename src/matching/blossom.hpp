@@ -17,22 +17,22 @@
 /// far vertex, the endpoint id and the quantized weight, and blossom
 /// bookkeeping reuses member scratch, so a solve allocates only up front.
 ///
-/// min_weight_perfect_matching jump-starts the solve the way Blossom V
-/// does (Kolmogorov, Math. Prog. Comp. 1(1), 2009): each vertex's dual
+/// min_weight_perfect_matching(costs) jump-starts the solve the way Blossom
+/// V does (Kolmogorov, Math. Prog. Comp. 1(1), 2009): each vertex's dual
 /// starts at its largest incident weight, then a greedy pass in index order
 /// makes one edge per vertex tight and matches free vertices across tight
 /// edges. Most stages then have nothing left to rescan. The optimum is the
 /// same, but ties between equal-total matchings — common in the scheduler,
 /// where serial partners can swap at equal cost — may resolve to a
 /// different optimal pairing than the uniform start would pick.
-/// max_weight_matching keeps the uniform start: its graphs may have no
-/// perfect matching, and then optimality needs equal duals on the vertices
-/// left single.
+/// max_weight_matching and the serial-aware entry keep the uniform start:
+/// their graphs may have no perfect matching, and then optimality needs
+/// equal duals on the vertices left single.
 ///
 /// Correctness is cross-checked against an exponential oracle in
-/// tests/matching_blossom_test.cpp, and the two starts against each other
-/// on scheduler-shaped graphs up to n ≈ 300 in
-/// tests/matching_stress_test.cpp.
+/// tests/matching_blossom_test.cpp, and the two starts and the two
+/// perfect-matching entries against each other on scheduler-shaped graphs
+/// up to n ≈ 300 in tests/matching_stress_test.cpp.
 
 #include <span>
 #include <vector>
@@ -54,14 +54,27 @@ namespace sic::matching {
     int n, std::span<const WeightedEdge> edges, bool max_cardinality = false);
 
 /// Minimum-weight perfect matching on the complete graph described by
-/// \p costs. Requires an even vertex count (the scheduler adds the dummy
-/// client for odd counts before calling this). Implemented via the standard
-/// reduction w' = max_cost − cost with max-cardinality matching, taking
+/// \p costs, and the reference for the serial-aware entry below. Requires
+/// an even vertex count. Implemented via the standard reduction
+/// w' = max_cost − cost with max-cardinality matching, taking
 /// max_cost and the quantization grid from the finite costs. A +inf cost
 /// (a client below the base rate) is a pair that never completes: the
 /// result first has as few of those as possible, then the least finite
 /// total. A NaN or −inf cost throws MatchingError naming the pair.
 [[nodiscard]] Matching min_weight_perfect_matching(const CostMatrix& costs);
+
+/// The same for a matrix where no pair costs more than its vertices'
+/// \p serial costs summed (Fig. 12: solo airtimes, 0 for the dummy).
+/// Solves the pairs with gain g = serial[u] + serial[v] − cost > 0 as one
+/// maximum-weight matching, then pairs the singles in index order: no two
+/// share a positive-gain edge, so each such pair has g = 0 and the total
+/// is optimal. Unservable vertices (serial +inf) get no edge and pair
+/// with each other first, so the fewest pairs never complete. Throws
+/// MatchingError for an odd count, a wrong-length \p serial, a NaN or
+/// negative serial cost (naming the vertex), or a pair costing NaN, −inf
+/// or more than its serial sum (naming the pair).
+[[nodiscard]] Matching min_weight_perfect_matching(
+    const CostMatrix& costs, std::span<const double> serial);
 
 }  // namespace sic::matching
 

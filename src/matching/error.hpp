@@ -2,11 +2,9 @@
 #define SICMAC_MATCHING_ERROR_HPP
 
 /// \file error.hpp
-/// Typed error for the matching layer. The matchers used to hard-abort via
-/// SIC_CHECK (a std::logic_error) on malformed inputs; now that the
-/// matching tier is reachable from CLI-configurable paths (--pairing) the
-/// precondition failures are a distinct, catchable condition that the CLI
-/// maps to its own exit code instead of "internal error".
+/// Typed error for the matching layer: malformed input reachable from the
+/// CLI is a catchable condition with its own exit code, not an internal
+/// error.
 
 #include <stdexcept>
 #include <string>
@@ -14,8 +12,9 @@
 namespace sic::matching {
 
 /// A matching precondition or postcondition failed: odd vertex count for a
-/// perfect matching, or an input graph admitting no perfect matching. The
-/// message carries the offending vertex counts.
+/// perfect matching, an input graph admitting no perfect matching, or a
+/// cost the matcher cannot use. The message carries the offending vertex
+/// counts, or names the vertex or pair.
 class MatchingError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -63,10 +63,8 @@ class CostMatrix {
   }
 
   /// Out-parameter variant of edges() that reuses \p out's allocation
-  /// (mirroring reset): callers that rebuild the edge list every re-match
-  /// round — the matchers inside the deployment engine's epoch loop — pay
-  /// one allocation for the lifetime of their scratch vector instead of
-  /// one per round. Emits the identical row-major (i, j) order.
+  /// (mirroring reset), so greedy pairing re-run every round pays one
+  /// allocation per scratch vector. Emits the identical row-major order.
   void edges(std::vector<WeightedEdge>& out) const {
     out.clear();
     out.reserve(static_cast<std::size_t>(n_) * (n_ - 1) / 2);

@@ -62,15 +62,6 @@ Matching greedy_min_weight_perfect_matching(
     out.total_cost += e.weight;
     matched += 2;
   }
-  if (matched != n) {
-    // Unreachable on a complete cost matrix, but the sparse edge lists of
-    // the approximate tier make "no perfect matching in this graph" a real
-    // input condition rather than a programmer error.
-    throw MatchingError("greedy matching left " + std::to_string(n - matched) +
-                        " of " + std::to_string(n) +
-                        " vertices unmatched (input graph admits no perfect "
-                        "matching)");
-  }
   if (reg != nullptr) {
     reg->counter("matching.greedy.edge_visits").inc(edge_visits);
     reg->counter("matching.greedy.vertices").inc(

@@ -4,9 +4,9 @@
 /// \file greedy.hpp
 /// Greedy minimum-weight perfect matching: repeatedly take the globally
 /// cheapest pair among unmatched vertices. Used as the ablation baseline
-/// against the exact blossom matcher (DESIGN.md perf benches) and as the
-/// seed of the approximate tier (approx.hpp) — on its own it is a
-/// 2-approximation-ish heuristic that a naive AP implementation might ship.
+/// against the exact blossom matcher (DESIGN.md perf benches, the Fig. 13
+/// greedy-pairing series): a 2-approximation-ish heuristic that a naive
+/// AP implementation might ship.
 
 #include <vector>
 

@@ -1,6 +1,9 @@
 #include "util/cli_args.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 
 namespace sic {
@@ -11,13 +14,56 @@ bool is_flag(const std::string& token) {
   return token.size() > 2 && token[0] == '-' && token[1] == '-';
 }
 
+/// A finite number; nan, inf and overflowing literals are usage errors.
 double parse_double(const std::string& flag, const std::string& text) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
     throw UsageError("flag --" + flag + ": not a number: " + text);
   }
+  if (!std::isfinite(value)) {
+    throw UsageError("flag --" + flag + ": not a finite number: " + text);
+  }
   return value;
+}
+
+/// A whole number in [lo, hi), the range of the integer type it is cast
+/// to, so the cast is exact (1e3 is fine, 2.5 is not).
+double parse_whole(const std::string& flag, const std::string& text,
+                   double lo, double hi) {
+  const double value = parse_double(flag, text);
+  if (value != std::trunc(value) || value < lo || value >= hi) {
+    throw UsageError("flag --" + flag + ": not an integer in range: " + text);
+  }
+  return value;
+}
+
+int parse_int(const std::string& flag, const std::string& text) {
+  return static_cast<int>(
+      parse_whole(flag, text, std::ldexp(-1.0, 31), std::ldexp(1.0, 31)));
+}
+
+/// Plain digits parse exactly, past 2⁵³ too; 1e6 goes through the double.
+std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
+  std::uint64_t exact = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, exact);
+  if (ptr == last && ec == std::errc{}) return exact;
+  return static_cast<std::uint64_t>(
+      parse_whole(flag, text, 0.0, std::ldexp(1.0, 64)));
+}
+
+/// Each non-empty comma-separated piece of \p value, parsed by \p parse.
+template <typename T, typename Parse>
+std::vector<T> parse_list(const std::string& flag,
+                          const std::optional<std::string>& value,
+                          Parse parse) {
+  std::vector<T> out;
+  std::istringstream in{value.value_or("")};
+  for (std::string piece; std::getline(in, piece, ',');) {
+    if (!piece.empty()) out.push_back(parse(flag, piece));
+  }
+  return out;
 }
 
 }  // namespace
@@ -77,32 +123,22 @@ double ArgParser::get_double(const std::string& flag, double fallback) const {
 }
 
 int ArgParser::get_int(const std::string& flag, int fallback) const {
-  return static_cast<int>(get_double(flag, fallback));
+  const auto v = get(flag);
+  return v.has_value() ? parse_int(flag, *v) : fallback;
 }
 
 std::uint64_t ArgParser::get_u64(const std::string& flag,
                                  std::uint64_t fallback) const {
   const auto v = get(flag);
-  if (!v.has_value()) return fallback;
-  return static_cast<std::uint64_t>(parse_double(flag, *v));
+  return v.has_value() ? parse_u64(flag, *v) : fallback;
 }
 
 std::vector<double> ArgParser::get_double_list(const std::string& flag) const {
-  std::vector<double> out;
-  const auto v = get(flag);
-  if (!v.has_value()) return out;
-  std::string text = *v;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string piece =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    if (!piece.empty()) out.push_back(parse_double(flag, piece));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
+  return parse_list<double>(flag, get(flag), parse_double);
+}
+
+std::vector<int> ArgParser::get_int_list(const std::string& flag) const {
+  return parse_list<int>(flag, get(flag), parse_int);
 }
 
 int ArgParser::get_threads(int fallback) const {

@@ -34,7 +34,8 @@ class ArgParser {
   [[nodiscard]] std::optional<std::string> get(const std::string& flag) const;
   [[nodiscard]] std::string get_string(const std::string& flag,
                                        const std::string& fallback) const;
-  /// Throws UsageError on malformed numbers.
+  /// Numeric getters throw UsageError naming the flag on malformed text,
+  /// non-finite values, and values an integer type cannot hold exactly.
   [[nodiscard]] double get_double(const std::string& flag,
                                   double fallback) const;
   [[nodiscard]] int get_int(const std::string& flag, int fallback) const;
@@ -43,6 +44,8 @@ class ArgParser {
   /// Comma-separated list of doubles, e.g. --clients 24,12,18.5.
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& flag) const;
+  /// Comma-separated list of ints, e.g. --queues 4,2,8.
+  [[nodiscard]] std::vector<int> get_int_list(const std::string& flag) const;
 
   /// The global `--threads` convention shared by the CLI and the bench
   /// binaries: 0 means "all hardware threads", otherwise the total worker

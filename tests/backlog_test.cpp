@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/upload_pair.hpp"
@@ -188,6 +190,22 @@ TEST(BacklogSchedule, BlossomBeatsGreedyPairing) {
   EXPECT_LE(schedule_backlog_upload(clients, kShannon, blossom).total_airtime,
             schedule_backlog_upload(clients, kShannon, greedy).total_airtime +
                 1e-9);
+}
+
+TEST(BacklogSchedule, UnservableClientDrainsWithoutAServablePartner) {
+  // C1 (-4000 dB) never drains; paired with C2 it would hide C2's queue and
+  // leave C0 alone (~657 us in all). It takes the dummy; C0 and C2 pack.
+  const std::vector<BacklogClient> clients{
+      client_db(20.0, 2), client_db(-4000.0, 3), client_db(15.0, 4)};
+  const auto schedule = schedule_backlog_upload(clients, kShannon);
+  ASSERT_EQ(schedule.slots.size(), 2u);
+  const BacklogSlot& never = schedule.slots[0];  // +inf sorts first
+  EXPECT_EQ(std::pair(never.first, never.second), std::pair(1, -1));
+  EXPECT_TRUE(std::isinf(never.plan.airtime));
+  const BacklogSlot& pair = schedule.slots[1];
+  EXPECT_EQ(std::pair(pair.first, pair.second), std::pair(0, 2));
+  EXPECT_EQ(pair.plan.mode, DrainMode::kPackedTrains);
+  EXPECT_NEAR(1e6 * pair.plan.airtime, 593.1, 0.05);
 }
 
 }  // namespace

@@ -80,6 +80,54 @@ TEST(ArgParser, UsageErrorsAreTyped) {
   static_assert(std::is_base_of_v<std::runtime_error, UsageError>);
 }
 
+/// True when \p get throws a UsageError naming --\p flag.
+template <typename Get>
+bool rejects(const std::string& flag, Get&& get) {
+  try {
+    (void)get();
+  } catch (const UsageError& e) {
+    return std::string{e.what()}.find("--" + flag) != std::string::npos;
+  }
+  return false;
+}
+
+// Each shape below used to reach a cast with undefined behaviour or an
+// internal check; now it is a UsageError naming the flag.
+
+TEST(ArgParser, NonFiniteNumbersRejected) {
+  for (const char* text : {"nan", "inf", "-inf", "1e400"}) {
+    const auto p = parse({"x", "--d", text, "--list", text, "--seed", text});
+    EXPECT_TRUE(rejects("d", [&] { return p.get_double("d", 0.0); })) << text;
+    EXPECT_TRUE(rejects("list", [&] { return p.get_double_list("list"); }));
+    EXPECT_TRUE(rejects("seed", [&] { return p.get_u64("seed", 0); }));
+  }
+}
+
+TEST(ArgParser, FractionalIntegersRejected) {
+  const auto p = parse({"x", "--n", "2.5", "--q", "4,0.5", "--seed", "0.5"});
+  EXPECT_TRUE(rejects("n", [&] { return p.get_int("n", 0); }));
+  EXPECT_TRUE(rejects("q", [&] { return p.get_int_list("q"); }));
+  EXPECT_TRUE(rejects("seed", [&] { return p.get_u64("seed", 0); }));
+  EXPECT_EQ(parse({"x", "--q", "1e3,-2"}).get_int_list("q"),
+            (std::vector<int>{1000, -2}));
+}
+
+TEST(ArgParser, OutOfRangeIntegersRejected) {
+  const auto p = parse({"x", "--n", "2147483648", "--m", "-2147483649",
+                        "--seed", "18446744073709551616"});
+  EXPECT_TRUE(rejects("n", [&] { return p.get_int("n", 0); }));
+  EXPECT_TRUE(rejects("m", [&] { return p.get_int("m", 0); }));
+  EXPECT_TRUE(rejects("seed", [&] { return p.get_u64("seed", 0); }));
+  // Plain digits parse exactly, past 2^53 too.
+  EXPECT_EQ(parse({"x", "--seed", "18446744073709551615"}).get_u64("seed", 0),
+            18446744073709551615ULL);
+}
+
+TEST(ArgParser, NegativeU64Rejected) {
+  const auto p = parse({"x", "--seed", "-1"});
+  EXPECT_TRUE(rejects("seed", [&] { return p.get_u64("seed", 0); }));
+}
+
 TEST(ArgParser, UnknownFlagDetection) {
   const auto p = parse({"x", "--used", "1", "--typo", "2"});
   (void)p.get_double("used", 0.0);

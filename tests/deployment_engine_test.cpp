@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -149,72 +148,6 @@ TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(c1, c4);
   EXPECT_EQ(c1, c7);
-}
-
-TEST(DeploymentEngine, AutoTierCrossingDeterministicAcrossThreadCounts) {
-  // kAuto with a small crossover (n0 = 6): AP 0 starts below it (4 clients,
-  // exact blossom) and AP 1 at it (6 clients, approximate tier). A scripted
-  // outage of AP 1 hands its clients to AP 0, pushing AP 0 across the
-  // threshold mid-run; the restart hands them back. The epoch stats, the
-  // obs counter map, and the matching.tier flight-event stream must all be
-  // identical at threads 1 / 4 / 7.
-  const auto run = [](int threads) {
-    obs::MetricsRegistry registry;
-    obs::FlightRecorder recorder;
-    obs::MetricsRegistry* prev_m = obs::set_metrics(&registry);
-    obs::FlightRecorder* prev_f = obs::set_flight(&recorder);
-    DeploymentEngineConfig config;
-    config.scheduler.pairing = core::SchedulerOptions::Pairing::kAuto;
-    config.scheduler.auto_tier_threshold = 6;
-    config.threads = threads;
-    config.seed = 5;
-    std::vector<topology::Point> sites{{0.0, 0.0}, {60.0, 0.0}};
-    FaultSchedule chaos;
-    chaos.add({.epoch = 3, .kind = ChaosEventKind::kApOutage, .ap = 1,
-               .duration_epochs = 3});
-    DeploymentEngine engine{sites, kShannon, config, std::move(chaos)};
-    for (int c = 0; c < 4; ++c) (void)engine.add_client({3.0 * c, 5.0});
-    for (int c = 0; c < 6; ++c) {
-      (void)engine.add_client({60.0 + 3.0 * c, 5.0});
-    }
-    const DeploymentResult result = engine.run_epochs(10);
-    (void)obs::set_metrics(prev_m);
-    (void)obs::set_flight(prev_f);
-    std::vector<std::string> tiers;
-    for (std::size_t i = 0; i < recorder.size(); ++i) {
-      const obs::FlightEvent& e = recorder.event(i);
-      if (e.kind == "matching.tier") {
-        tiers.push_back(std::to_string(e.epoch) + ":ap" +
-                        std::to_string(e.ap) + ":" + e.detail);
-      }
-    }
-    return std::tuple{result, registry.counter_values(), tiers};
-  };
-
-  const auto [r1, c1, t1] = run(1);
-  const auto [r4, c4, t4] = run(4);
-  const auto [r7, c7, t7] = run(7);
-  ASSERT_EQ(r1.epochs.size(), r4.epochs.size());
-  ASSERT_EQ(r1.epochs.size(), r7.epochs.size());
-  for (std::size_t e = 0; e < r1.epochs.size(); ++e) {
-    expect_same_epoch(r1.epochs[e], r4.epochs[e]);
-    expect_same_epoch(r1.epochs[e], r7.epochs[e]);
-  }
-  EXPECT_EQ(c1, c4);
-  EXPECT_EQ(c1, c7);
-  EXPECT_EQ(t1, t4);
-  EXPECT_EQ(t1, t7);
-  // The crossing actually happened: AP 0 was recorded on both sides of the
-  // threshold, and AP 1's backlog resolved to the approximate tier.
-  const auto has = [&t1 = t1](const std::string& needle) {
-    return std::any_of(t1.begin(), t1.end(), [&](const std::string& s) {
-      return s.find(needle) != std::string::npos;
-    });
-  };
-  EXPECT_TRUE(has("ap0:blossom")) << "AP 0 should start on the exact tier";
-  EXPECT_TRUE(has("ap0:approx"))
-      << "the outage should push AP 0 across the auto-tier threshold";
-  EXPECT_TRUE(has("ap1:approx")) << "AP 1 starts at the threshold";
 }
 
 TEST(DeploymentEngine, EquidistantClientTieBreaksToLowerApId) {

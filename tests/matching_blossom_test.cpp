@@ -464,6 +464,57 @@ TEST(Blossom, NonFiniteEdgeWeightRejectedNamingTheEdge) {
   }
 }
 
+TEST(GainBlossom, UnservableVerticesPairWithEachOtherFirst) {
+  // 1 and 3 are unservable: index order alone would pair (0, 1), (2, 3),
+  // two pairs that never complete. A lone unservable vertex takes a
+  // zero-gain single (the dummy 3), never a partner from the gain pair.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<int, int>> want{{0, 2}, {1, 3}};
+  CostMatrix two{4, kInf};
+  two.set(0, 2, 2.0);  // no gain
+  EXPECT_EQ(
+      min_weight_perfect_matching(two, std::vector{1.0, kInf, 1.0, kInf}).pairs,
+      want);
+  CostMatrix one = two;
+  one.set(0, 2, 1.5);
+  one.set(0, 3, 1.0);
+  one.set(2, 3, 1.0);
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+  EXPECT_EQ(
+      min_weight_perfect_matching(one, std::vector{1.0, kInf, 1.0, 0.0}).pairs,
+      want);
+  obs::set_metrics(prev);
+  // One blossom call, whose stages read the one gain edge and nothing else.
+  EXPECT_EQ(registry.counter("matching.blossom.calls").value(), 1u);
+  EXPECT_LE(registry.counter("matching.blossom.edge_visits").value(), 2u);
+}
+
+TEST(GainBlossom, InvalidInputRejectedNamingTheVertexOrPair) {
+  const auto error = [](const CostMatrix& costs, std::vector<double> serial) {
+    try {
+      (void)min_weight_perfect_matching(costs, serial);
+    } catch (const MatchingError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no MatchingError"};
+  };
+  const CostMatrix ones{4, 1.0};
+  EXPECT_NE(error(CostMatrix{3}, {0, 0, 0}).find("n = 3"), std::string::npos);
+  EXPECT_NE(error(ones, {1.0}).find("1 serial costs for n = 4"),
+            std::string::npos);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    EXPECT_NE(error(ones, {1.0, 1.0, bad, 1.0}).find("vertex 2"),
+              std::string::npos);
+  }
+  for (const double bad : {2.5, std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    CostMatrix costs = ones;
+    costs.set(1, 3, bad);  // 2.5 is above the serial sum 1 + 1
+    EXPECT_NE(error(costs, {1, 1, 1, 1}).find("(1, 3)"), std::string::npos);
+  }
+}
+
 TEST(MinWeightPerfect, ScalesToHundredsOfVertices) {
   // Sanity (and a smoke test for the O(n³) claim): n = 120 completes and
   // produces a valid perfect matching no worse than greedy pairing.

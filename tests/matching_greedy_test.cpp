@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "matching/blossom.hpp"
 #include "matching/error.hpp"
 #include "matching/oracle.hpp"
+#include "util/mathx.hpp"
 #include "util/rng.hpp"
 
 namespace sic::matching {
@@ -55,6 +57,49 @@ TEST(Greedy, ProducesPerfectMatching) {
     seen[a] = seen[b] = true;
   }
   EXPECT_EQ(m.pairs.size(), static_cast<std::size_t>(n / 2));
+}
+
+TEST(Greedy, WithinTwiceBlossomOnSchedulerShapedCosts) {
+  // Scheduler-shaped costs max(s_u, s_v) + U(0,1)·min(s_u, s_v) over solo
+  // airtimes s_k, as Fig. 12 builds them, n = 4..32. (On unstructured
+  // matrices greedy's ratio is unbounded.)
+  Rng rng{7};
+  for (int n = 4; n <= 32; n += 2) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> solo(static_cast<std::size_t>(n));
+      for (double& s : solo) s = rng.uniform(1.0, 10.0);
+      CostMatrix costs{n};
+      for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+          const double hi = std::max(solo[i], solo[j]);
+          const double lo = std::min(solo[i], solo[j]);
+          costs.set(i, j, hi + rng.uniform(0.0, 1.0) * lo);
+        }
+      }
+      const double exact = min_weight_perfect_matching(costs).total_cost;
+      const double greedy =
+          greedy_min_weight_perfect_matching(costs).total_cost;
+      EXPECT_LE(greedy, 2.0 * exact) << "n=" << n << " trial=" << trial;
+    }
+  }
+}
+
+TEST(CostMatrixEdges, OutParamOverloadIsBitIdentical) {
+  Rng rng{23};
+  CostMatrix costs{12};
+  for (int i = 0; i < 12; ++i) {
+    for (int j = i + 1; j < 12; ++j) costs.set(i, j, rng.uniform(1.0, 100.0));
+  }
+  const auto same = [](const WeightedEdge& a, const WeightedEdge& b) {
+    return a.u == b.u && a.v == b.v && bitwise_equal(a.weight, b.weight);
+  };
+  const auto fresh = costs.edges();
+  std::vector<WeightedEdge> reused;
+  reused.reserve(128);  // pre-existing capacity must not change the output
+  for (int round = 0; round < 2; ++round) {  // and neither does reuse
+    costs.edges(reused);
+    EXPECT_TRUE(std::ranges::equal(fresh, reused, same));
+  }
 }
 
 TEST(Greedy, OddCountRejected) {

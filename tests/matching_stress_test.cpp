@@ -3,7 +3,8 @@
 /// specific blossom behaviors, all cross-checked against the exponential
 /// oracle; and, above the oracle's reach, scheduler-shaped complete graphs
 /// on which the jump-started perfect matcher is checked against the
-/// uniform-start maximum-weight path and against itself under relabelling.
+/// uniform-start maximum-weight path, against the serial-aware entry, and
+/// against itself under relabelling.
 
 #include <gtest/gtest.h>
 
@@ -186,8 +187,10 @@ TEST(BlossomStress, RepeatedSolvesAreIndependent) {
 /// dummy vertex, whose edge to a client costs that client's solo airtime.
 /// Most pairs cost the serial sum, so serial partners can swap at equal
 /// total and optima tie. A client below the base rate has solo airtime
-/// +inf, which makes its whole row +inf.
-CostMatrix scheduler_shaped(int clients, double unservable_prob, Rng& rng) {
+/// +inf, which makes its whole row +inf. Also returns each vertex's serial
+/// cost (the solo airtime, 0 for the dummy).
+std::pair<CostMatrix, std::vector<double>> scheduler_shaped(
+    int clients, double unservable_prob, Rng& rng) {
   constexpr double kRatesMbps[] = {6, 9, 12, 18, 24, 36, 48, 54};
   std::vector<double> solo(static_cast<std::size_t>(clients));
   for (double& s : solo) {
@@ -199,16 +202,17 @@ CostMatrix scheduler_shaped(int clients, double unservable_prob, Rng& rng) {
   CostMatrix costs{n};
   for (int i = 0; i < clients; ++i) {
     for (int j = i + 1; j < clients; ++j) {
-      const double serial = solo[i] + solo[j];
+      const double sum = solo[i] + solo[j];
       const double lo = std::min(solo[i], solo[j]);
       const double hi = std::max(solo[i], solo[j]);
-      costs.set(i, j, std::isfinite(serial) && rng.chance(0.2)
+      costs.set(i, j, std::isfinite(sum) && rng.chance(0.2)
                           ? hi + rng.uniform(0.3, 1.0) * lo
-                          : serial);
+                          : sum);
     }
     if (n > clients) costs.set(i, clients, solo[i]);
   }
-  return costs;
+  solo.resize(static_cast<std::size_t>(n), 0.0);
+  return {std::move(costs), std::move(solo)};
 }
 
 /// A perfect matching's never-completing (+inf) pairs and finite total.
@@ -280,7 +284,7 @@ TEST(BlossomStress, JumpStartMatchesUniformStartOnSchedulerShapedGraphs) {
   for (const int clients : stress_sizes()) {
     for (int trial = 0; trial < (clients <= 40 ? 6 : 1); ++trial) {
       const CostMatrix costs =
-          scheduler_shaped(clients, trial % 2 == 0 ? 0.0 : 0.08, rng);
+          scheduler_shaped(clients, trial % 2 == 0 ? 0.0 : 0.08, rng).first;
       const int n = costs.size();
       const auto jump = min_weight_perfect_matching(costs);
       ASSERT_EQ(jump.pairs.size(), static_cast<std::size_t>(n / 2));
@@ -308,6 +312,27 @@ TEST(BlossomStress, JumpStartMatchesUniformStartOnSchedulerShapedGraphs) {
   }
 }
 
+TEST(BlossomStress, SerialAwareEntryMatchesDenseOnSchedulerShapedGraphs) {
+  // Only the pairs that beat serial vs the complete graph: on finite rows
+  // both entries return perfect matchings with the same optimum.
+  Rng rng{1404};
+  for (const int clients : stress_sizes()) {
+    for (int trial = 0; trial < (clients <= 40 ? 6 : 1); ++trial) {
+      const auto [costs, serial] = scheduler_shaped(clients, 0.0, rng);
+      const auto dense = min_weight_perfect_matching(costs);
+      const auto gain = min_weight_perfect_matching(costs, serial);
+      for (const Matching* m : {&dense, &gain}) {
+        std::vector<int> mate(static_cast<std::size_t>(costs.size()), -1);
+        for (const auto& [a, b] : m->pairs) mate[a] = b, mate[b] = a;
+        EXPECT_TRUE(is_valid_mate_vector(mate) && !std::ranges::count(mate, -1))
+            << "clients=" << clients;
+      }
+      EXPECT_NEAR(gain.total_cost, dense.total_cost, quantisation_bound(costs))
+          << "clients=" << clients << " trial=" << trial;
+    }
+  }
+}
+
 TEST(BlossomStress, RelabellingKeepsTheOptimum) {
   // Metamorphic: the jump start's greedy pass runs in index order, so a
   // relabelled instance starts from a different matching and duals. The
@@ -316,7 +341,7 @@ TEST(BlossomStress, RelabellingKeepsTheOptimum) {
   for (const int clients : stress_sizes()) {
     for (int trial = 0; trial < (clients <= 40 ? 4 : 1); ++trial) {
       const CostMatrix costs =
-          scheduler_shaped(clients, trial % 2 == 0 ? 0.0 : 0.08, rng);
+          scheduler_shaped(clients, trial % 2 == 0 ? 0.0 : 0.08, rng).first;
       const int n = costs.size();
       std::vector<int> perm(static_cast<std::size_t>(n));
       std::iota(perm.begin(), perm.end(), 0);

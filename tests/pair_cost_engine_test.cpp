@@ -8,10 +8,7 @@
 
 #include <stdexcept>
 
-#include "core/matching_tier.hpp"
 #include "core/scheduler.hpp"
-#include "matching/blossom.hpp"
-#include "matching/greedy.hpp"
 #include "phy/rate_table.hpp"
 #include "util/rng.hpp"
 
@@ -57,7 +54,9 @@ Schedule reference_schedule(std::span<const channel::LinkBudget> clients,
   const int dummy = odd ? n : -1;
   std::vector<PairPlan> plans(static_cast<std::size_t>(m) * m);
   matching::CostMatrix costs{m};
+  std::vector<double> serial(static_cast<std::size_t>(m), 0.0);  // dummy: 0
   for (int i = 0; i < n; ++i) {
+    serial[i] = solo_airtime(clients[i], adapter, options.packet_bits);
     for (int j = i + 1; j < n; ++j) {
       const PairPlan plan =
           best_pair_plan(clients[i], clients[j], adapter, options);
@@ -65,26 +64,15 @@ Schedule reference_schedule(std::span<const channel::LinkBudget> clients,
       plans[static_cast<std::size_t>(i) * m + j] = plan;
     }
     if (odd) {
-      const double t = solo_airtime(clients[i], adapter, options.packet_bits);
-      costs.set(i, dummy, t);
+      costs.set(i, dummy, serial[i]);
       plans[static_cast<std::size_t>(i) * m + dummy] =
-          PairPlan{PairMode::kSolo, t, 1.0};
+          PairPlan{PairMode::kSolo, serial[i], 1.0};
     }
   }
-  // Per-vertex serial costs for the approximate tier's sparsification (0
-  // for the dummy), then the same tier resolution the engine uses — this
-  // keeps the reference valid for all four Pairing policies.
-  std::vector<double> serial(static_cast<std::size_t>(m), 0.0);
-  for (int i = 0; i < n; ++i) {
-    serial[static_cast<std::size_t>(i)] =
-        solo_airtime(clients[static_cast<std::size_t>(i)], adapter,
-                     options.packet_bits);
-  }
+  // The same dispatch the engine uses, for both Pairing policies.
   std::vector<matching::WeightedEdge> edge_scratch;
-  const matching::Matching matching = run_matching_tier(
-      costs,
-      resolve_matching_tier(options.pairing, n, options.auto_tier_threshold),
-      serial, options.admission_margin_db, edge_scratch);
+  const matching::Matching matching =
+      run_pairing(costs, options.pairing, serial, edge_scratch);
   for (const auto& [u, v] : matching.pairs) {
     const int i = std::min(u, v);
     const int j = std::max(u, v);
@@ -304,42 +292,6 @@ TEST(PairCostEngine, WarmSingleDriftRematchMeetsEvalBudget) {
   // The acceptance bar: a one-client re-match must cost at least 5x fewer
   // kernel evaluations than the cold build.
   EXPECT_GE(cold_evals, 5 * warm_evals);
-}
-
-TEST(PairCostEngine, ApproxAndAutoTiersBitIdenticalToReference) {
-  // The scaling tiers run through the same engine paths as the exact ones:
-  // schedule_upload, the warm engine, and the from-scratch reference must
-  // agree bit for bit for kApprox and for kAuto on both sides of the
-  // crossover.
-  Rng rng{31};
-  for (int n = 2; n <= 9; ++n) {
-    const auto clients = random_clients(rng, n);
-    for (const int threshold : {2, 6, 64}) {
-      for (const auto pairing : {SchedulerOptions::Pairing::kApprox,
-                                 SchedulerOptions::Pairing::kAuto}) {
-        SchedulerOptions options;
-        options.enable_power_control = true;
-        options.pairing = pairing;
-        options.auto_tier_threshold = threshold;
-        options.admission_margin_db = Decibels{2.0};
-        const std::string what = std::string("n=") + std::to_string(n) +
-                                 " pairing=" + to_string(pairing) +
-                                 " n0=" + std::to_string(threshold);
-        const Schedule want = reference_schedule(clients, kShannon, options);
-        expect_identical(schedule_upload(clients, kShannon, options), want,
-                         what + " (schedule_upload)");
-        PairCostEngine engine{kShannon, options};
-        engine.set_clients(clients);
-        expect_identical(engine.schedule(), want, what + " (engine)");
-        const MatchingTier expected_tier =
-            pairing == SchedulerOptions::Pairing::kApprox
-                ? MatchingTier::kApprox
-                : (n >= threshold ? MatchingTier::kApprox
-                                  : MatchingTier::kBlossom);
-        EXPECT_EQ(engine.last_matching_tier(), expected_tier) << what;
-      }
-    }
-  }
 }
 
 TEST(PairCostEngine, UpdateClientOutOfRangeThrowsTyped) {

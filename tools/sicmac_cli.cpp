@@ -36,10 +36,12 @@
 ///
 /// Exit codes: 0 success; 1 internal error; 2 usage error; 3 file I/O
 /// error; 4 trace format error; 5 deployment invariant violated;
-/// 6 matching infeasible (odd vertex count / no perfect matching).
+/// 6 matching infeasible (odd vertex count / a cost it cannot use).
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,25 +77,27 @@ Milliwatts from_db(double snr_db) {
   return Milliwatts{Decibels{snr_db}.linear()};
 }
 
-/// Shared --pairing / --auto-tier-n0 parsing for every command that runs
-/// the Fig. 12 matching reduction.
+/// Shared --pairing parsing for every command that runs the Fig. 12
+/// matching reduction.
 core::SchedulerOptions::Pairing parse_pairing(const ArgParser& args) {
   const std::string name = args.get_string("pairing", "blossom");
   if (name == "blossom") return core::SchedulerOptions::Pairing::kBlossom;
   if (name == "greedy") return core::SchedulerOptions::Pairing::kGreedy;
-  if (name == "approx") return core::SchedulerOptions::Pairing::kApprox;
-  if (name == "auto") return core::SchedulerOptions::Pairing::kAuto;
-  throw UsageError("unknown --pairing (use blossom|greedy|approx|auto): " +
-                   name);
+  throw UsageError("unknown --pairing (use blossom|greedy): " + name);
 }
 
-int parse_auto_tier_threshold(const ArgParser& args) {
-  const int n0 = args.get_int("auto-tier-n0", 64);
-  if (n0 < 2) {
-    throw UsageError("--auto-tier-n0 must be >= 2, got " +
-                     std::to_string(n0));
+/// The closing line of `schedule` and `backlog`. A client below the base
+/// rate never completes, which makes both totals +inf; the gain is then
+/// not a number, so the line says how many clients cannot be served.
+void print_total(double total, double serial, int unservable) {
+  std::printf("total %.1f us vs serial %.1f us  ->  ", 1e6 * total,
+              1e6 * serial);
+  if (unservable == 0) {
+    std::printf("gain %.3fx\n", serial / total);
+  } else {
+    std::printf("gain n/a (%d client%s below the base rate, never served)\n",
+                unservable, unservable == 1 ? "" : "s");
   }
-  return n0;
 }
 
 int cmd_pair(const ArgParser& args) {
@@ -183,9 +187,12 @@ int cmd_schedule(const ArgParser& args) {
   options.enable_power_control = args.has("power-control");
   options.enable_multirate = args.has("multirate");
   options.pairing = parse_pairing(args);
-  options.auto_tier_threshold = parse_auto_tier_threshold(args);
   const auto schedule = core::schedule_upload(clients, *adapter, options);
   const double serial = core::serial_upload_airtime(clients, *adapter, kBits);
+  int unservable = 0;
+  for (const auto& c : clients) {
+    if (std::isinf(core::solo_airtime(c, *adapter, kBits))) ++unservable;
+  }
   std::printf("SIC-aware schedule (%zu clients, policy=%s):\n", clients.size(),
               adapter->name().c_str());
   for (const auto& slot : schedule.slots) {
@@ -197,30 +204,34 @@ int cmd_schedule(const ArgParser& args) {
                   to_string(slot.plan.mode), 1e6 * slot.plan.airtime);
     }
   }
-  std::printf("total %.1f us vs serial %.1f us  ->  gain %.3fx\n",
-              1e6 * schedule.total_airtime, 1e6 * serial,
-              serial / schedule.total_airtime);
+  print_total(schedule.total_airtime, serial, unservable);
   return 0;
 }
 
 int cmd_backlog(const ArgParser& args) {
   const auto adapter = make_adapter(args.get_string("table", "shannon"));
   const auto snrs = args.get_double_list("clients");
-  const auto queues = args.get_double_list("queues");
+  const auto queues = args.get_int_list("queues");
   if (snrs.empty() || queues.size() != snrs.size()) {
     throw UsageError(
         "backlog needs --clients s1,s2,... and matching --queues n1,n2,...");
   }
   std::vector<core::BacklogClient> clients;
+  int unservable = 0;
   for (std::size_t i = 0; i < snrs.size(); ++i) {
+    if (queues[i] < 0) {
+      throw UsageError("flag --queues: queue lengths must be >= 0, got " +
+                       std::to_string(queues[i]));
+    }
     clients.push_back(core::BacklogClient{
-        channel::LinkBudget{from_db(snrs[i]), Milliwatts{1.0}},
-        static_cast<int>(queues[i])});
+        channel::LinkBudget{from_db(snrs[i]), Milliwatts{1.0}}, queues[i]});
+    if (std::isinf(core::solo_drain_airtime(clients.back(), *adapter, kBits))) {
+      ++unservable;
+    }
   }
   core::BacklogOptions options;
   options.enable_packing = !args.has("no-packing");
   options.pairing = parse_pairing(args);
-  options.auto_tier_threshold = parse_auto_tier_threshold(args);
   const auto schedule =
       core::schedule_backlog_upload(clients, *adapter, options);
   const double serial =
@@ -236,9 +247,7 @@ int cmd_backlog(const ArgParser& args) {
                   1e6 * slot.plan.airtime, slot.plan.rounds);
     }
   }
-  std::printf("total %.1f us vs serial %.1f us  ->  gain %.3fx\n",
-              1e6 * schedule.total_airtime, 1e6 * serial,
-              serial / schedule.total_airtime);
+  print_total(schedule.total_airtime, serial, unservable);
   return 0;
 }
 
@@ -293,16 +302,24 @@ int cmd_montecarlo(const ArgParser& args) {
 int cmd_trace_gen(const ArgParser& args) {
   const std::string out = args.get_string("out", "");
   if (out.empty()) throw UsageError("trace-gen needs --out <file>");
+  trace::BuildingConfig config;
+  // The generator counts whole seconds in an int.
+  const double seconds = args.get_double("days", 14.0) * 86400;
+  if (!(seconds >= 1.0 && seconds <= std::numeric_limits<int>::max())) {
+    throw UsageError("flag --days: " + *args.get("days") +
+                     " is not between one second and " +
+                     std::to_string(std::numeric_limits<int>::max() / 86400) +
+                     " days");
+  }
+  config.duration_s = static_cast<int>(seconds);
+  const std::uint64_t seed = args.get_u64("seed", 1);
   // Open the output before the (potentially minutes-long) generation so an
   // unwritable path fails in milliseconds, not after the work is done.
   std::ofstream os{out};
   if (!os) {
     throw trace::TraceIoError("cannot open trace file for write: " + out);
   }
-  trace::BuildingConfig config;
-  config.duration_s = static_cast<int>(args.get_double("days", 14.0) * 86400);
-  const auto trace =
-      trace::generate_building_trace(config, args.get_u64("seed", 1));
+  const auto trace = trace::generate_building_trace(config, seed);
   trace::write_csv(trace, os);
   std::printf("wrote %zu snapshots / %zu observations to %s\n",
               trace.snapshots.size(), trace.total_observations(), out.c_str());
@@ -379,7 +396,6 @@ int cmd_simulate(const ArgParser& args) {
   options.enable_power_control = args.has("power-control");
   options.enable_multirate = args.has("multirate");
   options.pairing = parse_pairing(args);
-  options.auto_tier_threshold = parse_auto_tier_threshold(args);
   options.admission_margin_db =
       Decibels{require_range(args, "margin", 0.0, 0.0, 60.0)};
   const auto schedule = core::schedule_upload(clients, *adapter, options);
@@ -454,7 +470,6 @@ int cmd_deploy(const ArgParser& args) {
   config.scheduler.enable_power_control = args.has("power-control");
   config.scheduler.enable_multirate = args.has("multirate");
   config.scheduler.pairing = parse_pairing(args);
-  config.scheduler.auto_tier_threshold = parse_auto_tier_threshold(args);
   config.closed_loop = !args.has("open-loop");
   config.enable_quarantine = !args.has("no-quarantine");
   config.epoch_drift_sigma =
@@ -694,10 +709,9 @@ int usage() {
       "  capacity    --s1 dB --s2 dB\n"
       "  crosslink   --s11 dB --s12 dB --s21 dB --s22 dB [--table ...]\n"
       "  schedule    --clients dB,dB,... [--power-control] [--multirate]\n"
-      "              [--pairing blossom|greedy|approx|auto]\n"
-      "              [--auto-tier-n0 N]  (auto: approx at >= N clients, 64)\n"
+      "              [--pairing blossom|greedy]\n"
       "  backlog     --clients dB,... --queues n,... [--no-packing]\n"
-      "              [--pairing ...] [--auto-tier-n0 N]\n"
+      "              [--pairing ...]\n"
       "  montecarlo  --scenario upload|crosslink|deployment [--trials N]\n"
       "              [--seed S] [--clients-per-cell K]\n"
       "  trace-gen   --out file.csv [--days D] [--seed S]\n"
@@ -705,10 +719,8 @@ int usage() {
       "  mesh        --long m --short m [--exponent a]\n"
       "  simulate    --clients dB,... [--stale-sigma dB] [--stale-rho r]\n"
       "              [--cancel-prob p] [--ack-loss p] [--margin dB]\n"
-      "              [--pairing ...] [--auto-tier-n0 N]\n"
-      "              [--open-loop] [--seed S]\n"
-      "  deploy      [--aps N] [--clients N] [--epochs N]\n"
-      "              [--pairing ...] [--auto-tier-n0 N]\n"
+      "              [--pairing ...] [--open-loop] [--seed S]\n"
+      "  deploy      [--aps N] [--clients N] [--epochs N] [--pairing ...]\n"
       "              [--chaos-profile none|default|outage|burst|churn]\n"
       "              [--open-loop] [--no-quarantine] [--drift-sigma dB]\n"
       "              [--timeseries-out ts.csv] [--postmortem-out pm.json]\n"
@@ -823,8 +835,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "trace format error: %s\n", e.what());
     return 4;
   } catch (const matching::MatchingError& e) {
-    // The matching layer rejected its input (odd vertex count, no perfect
-    // matching) — distinct from an internal error so scripts sweeping
+    // The matching layer rejected its input (odd vertex count, a cost it
+    // cannot use) — distinct from an internal error so scripts sweeping
     // --pairing configurations can tell the two apart.
     std::fprintf(stderr, "matching error: %s\n", e.what());
     return 6;
