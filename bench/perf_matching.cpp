@@ -5,17 +5,14 @@
 /// oracle. Also reports greedy's exact-vs-heuristic quality gap as a
 /// counter (schedule cost ratio).
 ///
-/// Unlike the other perf binaries this one emits an *extended* one-line
-/// JSON summary: besides wall_ms/throughput it carries samples/sec at
-/// n = 256 for the dense blossom entry on uniform random costs and for the
-/// serial-aware entry on a seeded WLAN upload, so the bench gate can pin
-/// each matcher's own throughput.
+/// The one-line JSON summary also carries samples/sec at n = 256 for the
+/// dense blossom entry on uniform random costs and for the serial-aware
+/// entry on a seeded WLAN upload, so the bench gate can pin each matcher's
+/// own throughput.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstring>
+#include "perf_util.hpp"
 
 #include "channel/link.hpp"
 #include "core/scheduler.hpp"
@@ -65,7 +62,7 @@ BENCHMARK(BM_GreedyPerfectMatching)->RangeMultiplier(2)->Range(8, 128);
 
 /// The scheduler's instance: a seeded 256-client Shannon upload at SNRs
 /// uniform in [0, 30] dB. Pair costs come from best_pair_plan and serial
-/// costs from solo_airtime, exactly as the pair-cost engine builds them;
+/// costs from solo_airtime, exactly as schedule_upload builds them;
 /// the first n clients form the n-vertex instance.
 struct GainInstance {
   CostMatrix costs{0};
@@ -135,68 +132,28 @@ void BM_GreedyQualityGap(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyQualityGap)->Arg(16)->Arg(64);
 
-// ---------------------------------------------------------------------------
-// Summary measurements behind the one-line JSON (bench-gate pins).
-// ---------------------------------------------------------------------------
-
-/// Iterations/second of \p run: one warm-up call, then at least 3 timed
-/// iterations and at least 0.25 s of wall clock.
-template <typename F>
-double samples_per_sec(F&& run) {
-  using clock = std::chrono::steady_clock;
-  run();
-  const auto start = clock::now();
-  int iters = 0;
-  double elapsed = 0.0;
-  do {
-    run();
-    ++iters;
-    elapsed = std::chrono::duration<double>(clock::now() - start).count();
-  } while (iters < 3 || elapsed < 0.25);
-  return static_cast<double>(iters) / elapsed;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Accept (and drop) the repo-wide `--threads N` flag like the other perf
-  // binaries (see perf_util.hpp); the matching benches are single-threaded.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 < argc && argv[i + 1][0] != '-') ++i;
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n_run = benchmark::RunSpecifiedBenchmarks();
-
   // Headline throughputs at n = 256: the dense entry on uniform random
   // costs, and the serial-aware entry on the scheduler's own instance.
-  const auto costs = random_costs(256, 42);
-  const double blossom_sps = samples_per_sec([&costs] {
-    benchmark::DoNotOptimize(min_weight_perfect_matching(costs).total_cost);
-  });
-  const GainInstance upload = upload_instance(256);
-  const double gain_blossom_sps = samples_per_sec([&upload] {
-    benchmark::DoNotOptimize(
-        min_weight_perfect_matching(upload.costs, upload.serial).total_cost);
-  });
-
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  const double throughput =
-      wall_ms > 0.0 ? 1e3 * static_cast<double>(n_run) / wall_ms : 0.0;
-  std::printf(
-      "{\"bench\":\"perf_matching\",\"wall_ms\":%.1f,\"throughput\":%.3f,"
-      "\"blossom_samples_per_sec_n256\":%.2f,"
-      "\"gain_blossom_samples_per_sec_n256\":%.2f}\n",
-      wall_ms, throughput, blossom_sps, gain_blossom_sps);
-  benchmark::Shutdown();
-  return 0;
+  using sic::bench::samples_per_sec;
+  return sic::bench::run_perf_main(
+      "perf_matching", argc, argv,
+      {{"blossom_samples_per_sec_n256",
+        [] {
+          const auto costs = random_costs(256, 42);
+          return samples_per_sec([&costs] {
+            benchmark::DoNotOptimize(
+                min_weight_perfect_matching(costs).total_cost);
+          });
+        }},
+       {"gain_blossom_samples_per_sec_n256", [] {
+          const GainInstance upload = upload_instance(256);
+          return samples_per_sec([&upload] {
+            benchmark::DoNotOptimize(
+                min_weight_perfect_matching(upload.costs, upload.serial)
+                    .total_cost);
+          });
+        }}});
 }

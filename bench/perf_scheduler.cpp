@@ -1,7 +1,9 @@
 /// Performance and quality of the SIC-aware scheduler (Section 6): end-to-
 /// end schedule construction (pair costs + blossom matching) versus client
 /// count, the greedy-pairing ablation, and the cost of enabling the
-/// Section 5 techniques in the pair-cost model.
+/// Section 5 techniques in the pair-cost model. The one-line JSON summary
+/// also carries schedule builds/sec at n = 256 with both techniques on, so
+/// the bench gate can pin the scheduler's own throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +11,6 @@
 
 #include <vector>
 
-#include "core/pair_cost_engine.hpp"
 #include "core/scheduler.hpp"
 #include "topology/samplers.hpp"
 #include "util/rng.hpp"
@@ -70,7 +71,7 @@ void BM_ScheduleUploadWithTechniques(benchmark::State& state) {
   }
   state.counters["gain_vs_serial"] = gain;
 }
-BENCHMARK(BM_ScheduleUploadWithTechniques)->RangeMultiplier(2)->Range(4, 64);
+BENCHMARK(BM_ScheduleUploadWithTechniques)->RangeMultiplier(2)->Range(4, 256);
 
 // The discrete-rate scheduler with both techniques on — the configuration
 // whose pair kernel is dominated by the power-control grid search.
@@ -93,67 +94,6 @@ void BM_ScheduleUploadDiscretePc(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleUploadDiscretePc)->RangeMultiplier(2)->Range(16, 64);
 
-// Cold build: every pair dirty, the historical from-scratch cost.
-void BM_EngineColdBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto clients = random_clients(n, 7);
-  core::SchedulerOptions options;
-  options.enable_power_control = true;
-  options.enable_multirate = true;
-  std::uint64_t evals = 0;
-  for (auto _ : state) {
-    core::PairCostEngine engine{kShannon, options};
-    engine.set_clients(clients);
-    const auto schedule = engine.schedule();
-    evals = engine.stats().pair_evals;
-    benchmark::DoNotOptimize(schedule.total_airtime);
-  }
-  state.counters["pair_evals_cold"] = static_cast<double>(evals);
-}
-BENCHMARK(BM_EngineColdBuild)->RangeMultiplier(4)->Range(16, 256);
-
-// Warm rebuild after `drift` clients move: the round-boundary re-matching
-// cost the closed-loop executor pays. drift = 1 models a single stale
-// estimate; drift = n/4 a windy round.
-void BM_EngineWarmRebuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int drift = static_cast<int>(state.range(1));
-  const auto clients = random_clients(n, 7);
-  core::SchedulerOptions options;
-  options.enable_power_control = true;
-  options.enable_multirate = true;
-  core::PairCostEngine engine{kShannon, options};
-  engine.set_clients(clients);
-  benchmark::DoNotOptimize(engine.schedule().total_airtime);
-  Rng rng{23};
-  std::uint64_t warm_evals = 0;
-  std::uint64_t builds = 0;
-  for (auto _ : state) {
-    const std::uint64_t before = engine.stats().pair_evals;
-    for (int d = 0; d < drift; ++d) {
-      const int c = rng.uniform_int(0, n - 1);
-      const double jitter = rng.uniform(0.9, 1.1);
-      engine.update_client(
-          c, clients[static_cast<std::size_t>(c)].rss * jitter);
-    }
-    const auto schedule = engine.schedule();
-    warm_evals += engine.stats().pair_evals - before;
-    ++builds;
-    benchmark::DoNotOptimize(schedule.total_airtime);
-  }
-  state.counters["pair_evals_warm"] =
-      builds > 0 ? static_cast<double>(warm_evals) /
-                       static_cast<double>(builds)
-                 : 0.0;
-  state.counters["pair_evals_cold"] =
-      static_cast<double>(n) * (n - 1) / 2.0;
-}
-BENCHMARK(BM_EngineWarmRebuild)
-    ->ArgsProduct({{16, 64, 256}, {1}})
-    ->Args({16, 4})
-    ->Args({64, 16})
-    ->Args({256, 64});
-
 void BM_PairPlan(benchmark::State& state) {
   const auto clients = random_clients(2, 11);
   core::SchedulerOptions options;
@@ -169,4 +109,20 @@ BENCHMARK(BM_PairPlan);
 
 }  // namespace
 
-SIC_PERF_MAIN("perf_scheduler")
+int main(int argc, char** argv) {
+  // Headline: schedule builds per second at n = 256 with both techniques
+  // on Shannon — the pair-cost pass plus the blossom matching.
+  return sic::bench::run_perf_main(
+      "perf_scheduler", argc, argv,
+      {{"schedule_builds_per_sec_n256", [] {
+          const auto clients = random_clients(256, 7);
+          core::SchedulerOptions options;
+          options.enable_power_control = true;
+          options.enable_multirate = true;
+          return sic::bench::samples_per_sec([&] {
+            benchmark::DoNotOptimize(
+                core::schedule_upload(clients, kShannon, options)
+                    .total_airtime);
+          });
+        }}});
+}

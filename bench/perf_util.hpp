@@ -6,17 +6,46 @@
 /// registered benchmarks as BENCHMARK_MAIN() would, then emits a one-line
 /// JSON summary ({"bench":...,"wall_ms":...,"throughput":...}, throughput
 /// in benchmarks completed per second) so CI can trend the total perf cost
-/// of a binary without parsing the full benchmark table.
+/// of a binary without parsing the full benchmark table. A binary may add
+/// summary keys of its own (SummaryKey), measured after the benchmarks and
+/// counted in wall_ms, so the bench gate can pin one layer's throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
+#include <string>
 
 namespace sic::bench {
 
-inline int run_perf_main(const char* name, int argc, char** argv) {
+/// Iterations/second of \p run: one warm-up call, then at least 3 timed
+/// iterations and at least 0.25 s of wall clock.
+template <typename F>
+double samples_per_sec(F&& run) {
+  using clock = std::chrono::steady_clock;
+  run();
+  const auto start = clock::now();
+  int iters = 0;
+  double elapsed = 0.0;
+  do {
+    run();
+    ++iters;
+    elapsed = std::chrono::duration<double>(clock::now() - start).count();
+  } while (iters < 3 || elapsed < 0.25);
+  return static_cast<double>(iters) / elapsed;
+}
+
+/// One extra summary key, printed as "name":value with two decimals.
+struct SummaryKey {
+  const char* name;
+  std::function<double()> measure;
+};
+
+inline int run_perf_main(const char* name, int argc, char** argv,
+                         std::initializer_list<SummaryKey> extra = {}) {
   // Accept (and drop) the repo-wide `--threads N` flag so perf binaries can
   // be invoked uniformly with the figure benches; google-benchmark would
   // otherwise reject it as unrecognized. The google-benchmark perf loops
@@ -35,13 +64,19 @@ inline int run_perf_main(const char* name, int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n_run = benchmark::RunSpecifiedBenchmarks();
+  std::string keys;
+  for (const SummaryKey& key : extra) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, ",\"%s\":%.2f", key.name, key.measure());
+    keys += buf;
+  }
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
   const double throughput =
       wall_ms > 0.0 ? 1e3 * static_cast<double>(n_run) / wall_ms : 0.0;
-  std::printf("{\"bench\":\"%s\",\"wall_ms\":%.1f,\"throughput\":%.3f}\n",
-              name, wall_ms, throughput);
+  std::printf("{\"bench\":\"%s\",\"wall_ms\":%.1f,\"throughput\":%.3f%s}\n",
+              name, wall_ms, throughput, keys.c_str());
   benchmark::Shutdown();
   return 0;
 }

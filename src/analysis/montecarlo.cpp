@@ -9,7 +9,6 @@
 #include "core/cross_link.hpp"
 #include "core/multirate.hpp"
 #include "core/packing.hpp"
-#include "core/pair_cost_engine.hpp"
 #include "core/power_control.hpp"
 #include "core/scheduler.hpp"
 #include "obs/logger.hpp"
@@ -221,12 +220,8 @@ std::vector<double> run_upload_deployment_gains(
         const double serial =
             core::serial_upload_airtime(clients, adapter, packet_bits);
         if (!std::isfinite(serial) || serial <= 0.0) return 1.0;
-        // Trial-local engine: every trial is a fresh topology, so the build
-        // is cold by construction and the published scheduler.pair_engine.*
-        // counters depend only on the trial set, never on thread placement.
-        core::PairCostEngine engine{adapter, options};
-        engine.set_clients(clients);
-        const auto schedule = engine.schedule();
+        const auto schedule =
+            core::schedule_upload(clients, adapter, options);
         return schedule.total_airtime > 0.0 ? serial / schedule.total_airtime
                                             : 1.0;
       });

@@ -29,8 +29,8 @@ struct MultirateResult {
 /// The formula on rates already looked up: \p rates are the pair's SIC
 /// rates and \p stronger_clean_rate is r(S¹/N₀). The clean rate is read
 /// only when the stronger client lags (rates.stronger < rates.weaker), so
-/// a caller may pass any value otherwise. The pair-cost engine calls this
-/// with the rates of its batched row lookup.
+/// a caller may pass any value otherwise. schedule_upload's row kernel
+/// calls this with the rates of its batched row lookup.
 [[nodiscard]] MultirateResult multirate_airtime_detailed(
     double packet_bits, const SicRatePair& rates,
     BitsPerSecond stronger_clean_rate);

@@ -63,6 +63,10 @@ struct SchedulerOptions {
   /// bench/ablation_stale_rates measures open-loop. 0 dB reproduces the
   /// paper's perfect-knowledge plan exactly.
   Decibels admission_margin_db{0.0};
+
+  /// Throws CheckError naming the option unless packet_bits is finite and
+  /// > 0 and admission_margin_db is finite and >= 0 dB.
+  void validate() const;
 };
 
 /// The chosen transmission plan for one pair (or solo client).
@@ -80,21 +84,14 @@ struct PairPlan {
                                   double packet_bits);
 
 /// The t_ij of Fig. 12: minimum joint completion time for a client pair
-/// under the enabled techniques, with the winning mode recorded.
+/// under the enabled techniques, with the winning mode recorded. The same
+/// mode-selection rule schedule_upload applies to every pair.
 [[nodiscard]] PairPlan best_pair_plan(const channel::LinkBudget& a,
                                       const channel::LinkBudget& b,
                                       const phy::RateAdapter& adapter,
                                       const SchedulerOptions& options);
 
-/// The mode-selection core of best_pair_plan, split out so callers holding
-/// precomputed per-client state (the PairCostEngine) share one kernel with
-/// the from-scratch path: \p ctx is the pair's margin-derated context and
-/// \p serial_airtime the unmargined solo-airtime sum of the two clients.
-[[nodiscard]] PairPlan best_pair_plan_from_context(
-    const UploadPairContext& ctx, double serial_airtime,
-    const SchedulerOptions& options);
-
-/// The Fig. 12 matching step of the pair-cost engine and backlog planner.
+/// The Fig. 12 matching step of schedule_upload and the backlog planner.
 /// \p serial holds solo airtimes (0 for the dummy); no pair may cost more
 /// than its two summed. \p edge_scratch keeps greedy's edges across calls.
 [[nodiscard]] matching::Matching run_pairing(
@@ -126,6 +123,10 @@ struct Schedule {
 
 /// The SIC-aware schedule for one backlogged packet per client.
 /// Guaranteed never worse than serial_upload_airtime under the same policy.
+/// Validates \p options at any client count. With a metrics registry
+/// attached, a call over n >= 1 clients adds 1 to
+/// scheduler.pair_engine.builds and n(n-1)/2 to .pair_evals, and n >= 2
+/// times the pair-cost pass into the .kernel_wall_s histogram.
 [[nodiscard]] Schedule schedule_upload(
     std::span<const channel::LinkBudget> clients,
     const phy::RateAdapter& adapter, const SchedulerOptions& options = {});

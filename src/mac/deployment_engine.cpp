@@ -164,11 +164,6 @@ struct DeploymentEngine::ApState {
   bool dirty = true;  ///< re-estimate + re-match before next service
   bool rematched_this_epoch = false;
   std::vector<int> members;  ///< ascending client ids
-  /// Membership/ladder the persistent pair-cost engine was built over —
-  /// a mismatch forces a rebuild instead of per-row updates.
-  std::vector<int> pce_members;
-  int pce_ladder = -1;
-  std::unique_ptr<core::PairCostEngine> pce;
   core::Schedule schedule;
   std::vector<int> sched_members;  ///< members the schedule indexes
   UploadSimResult last;
@@ -197,6 +192,7 @@ DeploymentEngine::DeploymentEngine(std::vector<topology::Point> ap_sites,
   config_.upload.faults.validate();
   chaos_.profile().validate();
   config_.scheduler.packet_bits = config_.upload.packet_bits;
+  config_.scheduler.validate();
   config_.upload.recovery.enabled = config_.closed_loop;
   aps_.reserve(ap_sites.size());
   for (std::size_t i = 0; i < ap_sites.size(); ++i) {
@@ -352,9 +348,6 @@ void DeploymentEngine::apply_chaos(const EpochChaos& chaos,
     }
     ap.alive = false;
     ap.down_until = epoch_ + o.epochs;
-    ap.pce.reset();
-    ap.pce_ladder = -1;
-    ap.pce_members.clear();
     ap.schedule = core::Schedule{};
     ap.sched_members.clear();
     ap.dirty = true;
@@ -458,8 +451,6 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
 }
 
 void DeploymentEngine::serve_ap(ApState& ap) {
-  const bool rebuild = ap.pce == nullptr || ap.pce_ladder != ap.ladder ||
-                       ap.pce_members != ap.members;
   if (ap.dirty) {
     // Re-estimation: the AP measures every member's channel fresh.
     for (const int m : ap.members) {
@@ -476,27 +467,12 @@ void DeploymentEngine::serve_ap(ApState& ap) {
     budgets.push_back(
         channel::LinkBudget{nominal.rss * est.linear(), noise_mw_});
   }
-  if (ap.dirty || rebuild) {
-    if (ap.ladder >= 3) {
-      ap.pce.reset();
-      ap.pce_ladder = ap.ladder;
-      ap.pce_members = ap.members;
-      ap.schedule = serial_schedule(budgets, *adapter_, ladder_options(2));
-    } else if (rebuild) {
-      ap.pce = std::make_unique<core::PairCostEngine>(
-          *adapter_, ladder_options(ap.ladder));
-      ap.pce->set_clients(budgets);
-      ap.pce_ladder = ap.ladder;
-      ap.pce_members = ap.members;
-      ap.schedule = ap.pce->schedule();
-    } else {
-      // Same members, same options: re-estimation only — dirty rows
-      // recompute, clean rows serve from cache.
-      for (std::size_t i = 0; i < budgets.size(); ++i) {
-        ap.pce->update_client(static_cast<int>(i), budgets[i].rss);
-      }
-      ap.schedule = ap.pce->schedule();
-    }
+  if (ap.dirty) {
+    ap.schedule =
+        ap.ladder >= 3
+            ? serial_schedule(budgets, *adapter_, ladder_options(2))
+            : core::schedule_upload(budgets, *adapter_,
+                                    ladder_options(ap.ladder));
     ap.sched_members = ap.members;
     ap.rematched_this_epoch = true;
     ap.dirty = false;
@@ -775,9 +751,6 @@ EpochStats DeploymentEngine::run_epoch() {
         // estimates and a full from-scratch re-match.
         ++stats.watchdog_fires;
         ap.allfail_streak = 0;
-        ap.pce.reset();
-        ap.pce_ladder = -1;
-        ap.pce_members.clear();
         ap.dirty = true;
         if (obs::FlightRecorder* fr = obs::flight()) {
           fr->record(obs::FlightEvent{static_cast<std::uint64_t>(epoch_), id,

@@ -6,11 +6,10 @@
 /// over the single-cell closed loop. The engine shards clients across APs
 /// (nearest-AP by received power, load-aware handoff with dB hysteresis so
 /// clients don't flap), advances one *epoch* at a time, and within each
-/// epoch plans every serving AP's schedule through that AP's persistent
-/// core::PairCostEngine — re-matching only APs something actually dirtied
-/// (membership change, outage/restart, ladder step, watchdog) — then
-/// executes the schedule on the discrete-event simulator via
-/// run_scheduled_upload.
+/// epoch re-plans a serving AP's schedule from scratch with
+/// core::schedule_upload only when something dirtied the AP (membership
+/// change, outage/restart, ladder step, watchdog), then executes the
+/// schedule on the discrete-event simulator via run_scheduled_upload.
 ///
 /// Chaos (mac/chaos.hpp) feeds the epoch stream: timed or stochastic AP
 /// crashes/restarts, correlated interference bursts, client churn and
@@ -51,7 +50,7 @@
 #include <vector>
 
 #include "channel/pathloss.hpp"
-#include "core/pair_cost_engine.hpp"
+#include "core/scheduler.hpp"
 #include "mac/association.hpp"
 #include "mac/chaos.hpp"
 #include "mac/upload_sim.hpp"
@@ -229,7 +228,9 @@ struct DeploymentResult {
 class DeploymentEngine {
  public:
   /// \p adapter must outlive the engine. Throws FaultConfigError on a
-  /// malformed upload fault config or chaos profile.
+  /// malformed upload fault config or chaos profile, and CheckError on
+  /// malformed scheduler options (SchedulerOptions::validate, with
+  /// packet_bits taken from upload.packet_bits).
   DeploymentEngine(std::vector<topology::Point> ap_sites,
                    const phy::RateAdapter& adapter,
                    const DeploymentEngineConfig& config,

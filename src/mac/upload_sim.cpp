@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/multirate.hpp"
-#include "core/pair_cost_engine.hpp"
 #include "core/power_control.hpp"
 #include "mac/access_point.hpp"
 #include "mac/station.hpp"
@@ -623,30 +622,17 @@ class ClosedLoopRunner {
 
     round_slots_.clear();
     if (pairable.size() >= 2) {
-      // The engine persists across re-match rounds: per-client derived
-      // state and cached pair plans survive, and only clients whose fresh
-      // estimate actually moved get their row recomputed. With channel
-      // faults off the estimates never change, so later rounds re-match the
-      // shrinking residual set entirely from cache.
-      if (rematch_engine_ == nullptr) {
-        core::SchedulerOptions options = config_->recovery.rematch_options;
-        options.packet_bits = config_->packet_bits;
-        rematch_engine_ =
-            std::make_unique<core::PairCostEngine>(*adapter_, options);
-        std::vector<channel::LinkBudget> budgets;
-        budgets.reserve(estimates_.size());
-        for (const Milliwatts rss : estimates_) {
-          budgets.push_back(channel::LinkBudget{rss, noise_});
-        }
-        rematch_engine_->set_clients(budgets);
-      } else {
-        for (std::size_t c = 0; c < estimates_.size(); ++c) {
-          rematch_engine_->update_client(static_cast<int>(c), estimates_[c]);
-        }
+      core::SchedulerOptions options = config_->recovery.rematch_options;
+      options.packet_bits = config_->packet_bits;
+      std::vector<channel::LinkBudget> budgets;
+      budgets.reserve(pairable.size());
+      for (const int client : pairable) {
+        budgets.push_back(channel::LinkBudget{
+            estimates_[static_cast<std::size_t>(client)], noise_});
       }
       const core::Schedule rematched =
-          rematch_engine_->schedule_subset(pairable);
-      margin_db_ = rematch_engine_->options().admission_margin_db.value();
+          core::schedule_upload(budgets, *adapter_, options);
+      margin_db_ = options.admission_margin_db.value();
       for (const auto& s : rematched.slots) {
         RunSlot rs;
         rs.first = pairable[static_cast<std::size_t>(s.first)];
@@ -709,8 +695,6 @@ class ClosedLoopRunner {
   std::vector<FailCause> last_cause_;   ///< most recent failure per client
   std::vector<std::uint64_t> unrecovered_per_client_;
   std::vector<RunSlot> round_slots_;
-  /// Lazily built on the first re-match; rows track estimate drift after.
-  std::unique_ptr<core::PairCostEngine> rematch_engine_;
   int rounds_ = 0;
   FailureTelemetry telemetry_;
 

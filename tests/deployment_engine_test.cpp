@@ -16,6 +16,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "util/check.hpp"
 
 namespace sic::mac {
 namespace {
@@ -351,6 +352,57 @@ TEST(DeploymentEngine, LadderStepsDownWhenEpochsAreUnhealthy) {
   EXPECT_GE(ladder_steps, 2u);           // down and back up
   EXPECT_EQ(engine.ladder_level(0), 0);  // healthy again at the end
   EXPECT_TRUE(auditor.ok());
+}
+
+TEST(DeploymentEngine, SerialOnlyApKeepsItsScheduleWhenNothingChanged) {
+  // A deep burst that outlasts the run walks the ladder down to level 3
+  // (serial solo slots) and keeps it there. Once an epoch changes no
+  // membership, ladder level, outage or watchdog state, the AP must serve
+  // the schedule it already has instead of re-planning it.
+  DeploymentEngineConfig config;
+  config.enable_quarantine = false;  // membership stays fixed
+  config.watchdog_epochs = 100;      // keep the watchdog out of the picture
+  config.upload.horizon = from_seconds(0.05);
+  FaultSchedule chaos;
+  chaos.add({.epoch = 1, .kind = ChaosEventKind::kBurst, .ap = 0,
+             .duration_epochs = 20, .depth = Decibels{80.0}});
+  DeploymentEngine engine{{topology::Point{0.0, 0.0}}, kShannon, config,
+                          chaos};
+  for (const auto& p : line_clients(4, 8.0, 4.0)) (void)engine.add_client(p);
+
+  int epochs = 0;
+  while (engine.ladder_level(0) < 3 && epochs < 8) {
+    (void)engine.run_epoch();
+    ++epochs;
+  }
+  ASSERT_EQ(engine.ladder_level(0), 3);
+  // The step to level 3 dirtied the AP: the next epoch plans serial.
+  const EpochStats planned = engine.run_epoch();
+  EXPECT_EQ(planned.rematched_aps, 1);
+  EXPECT_EQ(planned.decisions, 4u);  // one solo slot per member
+
+  const EpochStats quiet = engine.run_epoch();
+  ASSERT_EQ(engine.ladder_level(0), 3);
+  ASSERT_EQ(quiet.handoffs, 0);
+  ASSERT_EQ(quiet.ladder_steps, 0);
+  ASSERT_EQ(quiet.outages_started, 0);
+  ASSERT_EQ(quiet.watchdog_fires, 0);
+  EXPECT_EQ(quiet.rematched_aps, 0);
+  EXPECT_EQ(quiet.decisions, planned.decisions);
+  EXPECT_EQ(engine.ap_members(0).size(), 4u);
+}
+
+TEST(DeploymentEngine, MalformedSchedulerOptionsFailAtConstruction) {
+  // The engine plans with config.scheduler (packet_bits from
+  // config.upload): a bad value fails here, not in the first epoch where
+  // some AP has two members.
+  const std::vector<topology::Point> sites{{0.0, 0.0}};
+  DeploymentEngineConfig bad_bits;
+  bad_bits.upload.packet_bits = 0.0;
+  EXPECT_THROW((DeploymentEngine{sites, kShannon, bad_bits}), CheckError);
+  DeploymentEngineConfig bad_margin;
+  bad_margin.scheduler.admission_margin_db = Decibels{-3.0};
+  EXPECT_THROW((DeploymentEngine{sites, kShannon, bad_margin}), CheckError);
 }
 
 TEST(DeploymentEngine, DefaultChaosProfileStaysAuditClean) {

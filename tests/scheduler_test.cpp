@@ -8,6 +8,7 @@
 
 #include "core/multirate.hpp"
 #include "core/power_control.hpp"
+#include "phy/rate_table.hpp"
 #include "util/rng.hpp"
 
 namespace sic::core {
@@ -140,6 +141,17 @@ TEST(Scheduler, SerialModeChosenWhenSicLoses) {
   const auto plan = best_pair_plan(client_db(35.0), client_db(34.5), kShannon,
                                    SchedulerOptions{});
   EXPECT_EQ(plan.mode, PairMode::kSerial);
+  // A tie never moves the plan: with one client below 802.11g's base rate,
+  // serial and every concurrent candidate cost +inf, so the pair stays
+  // serial.
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  SchedulerOptions all;
+  all.enable_power_control = true;
+  all.enable_multirate = true;
+  const auto dead =
+      best_pair_plan(client_db(20.0), client_db(-3.0), dot11g, all);
+  EXPECT_EQ(dead.mode, PairMode::kSerial);
+  EXPECT_TRUE(std::isinf(dead.airtime));
 }
 
 TEST(Scheduler, PairPlanMatchesTechniqueAirtimes) {
