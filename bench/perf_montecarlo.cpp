@@ -4,10 +4,12 @@
 ///
 ///   {"bench":"perf_montecarlo","sweep":"two_link_gains","threads":4,
 ///    "trials":20000,"wall_ms":412.0,"samples_per_sec":48543.7,
-///    "speedup_vs_1":3.41,"identical_to_1_thread":true}
+///    "speedup_vs_1":3.41,"identical_to_first":true}
 ///
 /// so CI can assert both the speedup and the bit-identity of the samples
-/// across thread counts. Flags: --trials N, --threads-list a,b,c.
+/// across thread counts (speedup and identity are against the first entry
+/// of --threads-list). download_trace stays the last sweep: CI gates its
+/// line. Flags: --trials N, --threads-list a,b,c.
 
 #include <cstdint>
 #include <cstdio>
@@ -60,6 +62,13 @@ int main(int argc, char** argv) {
          return analysis::run_two_to_one_techniques(config, shannon, trials,
                                                     kSeed, kBits, threads)
              .sic;
+       }},
+      {"two_link_techniques", trials,
+       [&](int threads) {
+         // Fig. 11b: the power-control search's samples.
+         return analysis::run_two_link_techniques(config, shannon, trials,
+                                                  kSeed, kBits, threads)
+             .power_control;
        }},
       {"upload_deployment_gains", trials / 20,
        [&](int threads) {

@@ -139,45 +139,6 @@ TechniqueSamples run_two_to_one_techniques(
   return split_samples(gains, /*with_multirate=*/true);
 }
 
-namespace {
-
-/// Scales transmitter T1's power by `scale` (both of its RSS entries).
-channel::TwoLinkRss scale_t1(const channel::TwoLinkRss& rss, double scale) {
-  channel::TwoLinkRss out = rss;
-  out.s11 = rss.s11 * scale;
-  out.s21 = rss.s21 * scale;
-  return out;
-}
-
-/// Best realized cross-link gain over power reductions of either
-/// transmitter (coarse dB grid; reductions only, per Section 5.4's caveat
-/// against boosting).
-double cross_link_power_control_gain(const channel::TwoLinkRss& rss,
-                                     const phy::RateAdapter& adapter,
-                                     double packet_bits) {
-  // The no-SIC serial baseline always uses full power.
-  const double serial =
-      core::evaluate_cross_link(rss, adapter, packet_bits).serial_airtime;
-  double best = core::evaluate_cross_link(rss, adapter, packet_bits).gain;
-  if (!std::isfinite(serial)) return best;
-  constexpr int kSteps = 81;  // 0 .. -20 dB in 0.25 dB steps
-  for (int tx = 0; tx < 2; ++tx) {
-    for (int i = 1; i < kSteps; ++i) {
-      const double db = -20.0 * i / (kSteps - 1);
-      const double scale = Decibels{db}.linear();
-      const channel::TwoLinkRss scaled =
-          tx == 0 ? scale_t1(rss, scale) : scale_t1(rss.mirrored(), scale).mirrored();
-      const auto res = core::evaluate_cross_link(scaled, adapter, packet_bits);
-      if (std::isfinite(res.concurrent_airtime) && res.concurrent_airtime > 0.0) {
-        best = std::max(best, std::max(1.0, serial / res.concurrent_airtime));
-      }
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 TechniqueSamples run_two_link_techniques(const topology::SamplerConfig& config,
                                          const phy::RateAdapter& adapter,
                                          int trials, std::uint64_t seed,
@@ -192,8 +153,8 @@ TechniqueSamples run_two_link_techniques(const topology::SamplerConfig& config,
         TechniqueGains g;
         g.sic = core::evaluate_cross_link(sample.rss, adapter, packet_bits)
                     .gain;
-        g.power_control =
-            cross_link_power_control_gain(sample.rss, adapter, packet_bits);
+        g.power_control = core::cross_link_power_control_gain(
+            sample.rss, adapter, packet_bits);
         g.packing =
             core::cross_link_packing_gain(sample.rss, adapter, packet_bits);
         return g;

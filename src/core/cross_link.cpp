@@ -1,7 +1,9 @@
 #include "core/cross_link.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/check.hpp"
@@ -83,6 +85,155 @@ ConcurrentRates concurrent_rates(const channel::TwoLinkRss& rss,
       return rates_case_d(rss, adapter);
   }
   return ConcurrentRates{};
+}
+
+/// Fig. 11b's power-control grid: step k backs one transmitter off by
+/// 0.25·k dB, from full power (k = 0) down to −20 dB (k = 80).
+constexpr int kBackoffSteps = 80;
+using BackoffScales = std::array<double, kBackoffSteps + 1>;
+
+/// The grid's linear scales. The search needs them strictly decreasing in
+/// k, which std::pow does not promise, so that is checked once here.
+const BackoffScales& backoff_scales() {
+  static const BackoffScales scales = [] {
+    BackoffScales s{};
+    s[0] = 1.0;
+    for (int k = 1; k <= kBackoffSteps; ++k) {
+      s[k] = Decibels{-20.0 * k / kBackoffSteps}.linear();
+      SIC_CHECK(s[k] < s[k - 1]);
+    }
+    return s;
+  }();
+  return scales;
+}
+
+/// Branch and bound over the back-off grid of transmitter T1; the T2
+/// direction runs on rss.mirrored(), which evaluate_cross_link treats
+/// symmetrically. Step k scales T1's RSS to a_k = S₁¹·scale_k at R1 and
+/// c_k = S₂¹·scale_k at R2. IEEE rounding keeps both non-increasing in k,
+/// so with a monotone RateAdapter every rate below is monotone along the
+/// grid, and the Fig. 5 case runs (b), then (a) or (d), then (c).
+class BackoffSearch {
+ public:
+  BackoffSearch(const channel::TwoLinkRss& rss,
+                const phy::RateAdapter& adapter, double r2_clean)
+      : rss_(rss), adapter_(adapter), r2_clean_(r2_clean) {}
+
+  /// Raises \p best to the largest min(r1, r2) over the feasible steps in
+  /// [first, kBackoffSteps]. A step's realized gain only grows with that
+  /// minimum, so the grid's best gain sits at the returned one.
+  void run(int first, double& best);
+
+ private:
+  /// The rates the cases read at step k, each computed at most once.
+  enum Rate {
+    kR1Interfered,  ///< r(a_k/(S₁²+N₀)), T1's rate in (b); never rises
+    kR1Clean,       ///< r(a_k/N₀), T1's rate in (c) and (d); never rises
+    kT1AtR2,        ///< r(c_k/(S₂²+N₀)), R2 decoding T1; never rises
+    kT2AtR1,        ///< r(S₁²/(a_k+N₀)), R1 decoding T2; never falls
+    kR2Interfered,  ///< r(S₂²/(c_k+N₀)), T2's rate in (c); never falls
+    kRates
+  };
+
+  double at(Rate rate, int k);
+
+  /// Raises \p best over the feasible steps of [k, j]. \p bound(k, j)
+  /// caps min(r1, r2) on [k, j], and \p dead(k, j) proves every step there
+  /// infeasible; either drops the interval, else it is halved.
+  template <typename Bound, typename Dead>
+  void bisect(int k, int j, double& best, const Bound& bound,
+              const Dead& dead);
+
+  const channel::TwoLinkRss& rss_;
+  const phy::RateAdapter& adapter_;
+  double r2_clean_;  ///< r(S₂²/N₀): T2's rate in (b) and (d)
+  /// memo_[rate][k] holds a computed rate once bit k of known_[rate] is
+  /// set, and is never read before. Left uninitialized: filling it would
+  /// cost a fifth of a search.
+  std::array<std::array<double, kBackoffSteps + 1>, kRates> memo_;
+  std::array<std::array<std::uint64_t, 2>, kRates> known_{};
+};
+
+double BackoffSearch::at(Rate rate, int k) {
+  std::uint64_t& word = known_[rate][static_cast<std::size_t>(k >> 6)];
+  const std::uint64_t bit = std::uint64_t{1} << (k & 63);
+  double& slot = memo_[rate][static_cast<std::size_t>(k)];
+  if ((word & bit) != 0) return slot;
+  word |= bit;
+  // The expressions evaluate_cross_link applies to the scaled RSS.
+  const double scale = backoff_scales()[static_cast<std::size_t>(k)];
+  const Milliwatts n = rss_.noise;
+  double sinr = 0.0;
+  switch (rate) {
+    case kR1Interfered: sinr = rss_.s11 * scale / (rss_.s12 + n); break;
+    case kR1Clean: sinr = rss_.s11 * scale / n; break;
+    case kT1AtR2: sinr = rss_.s21 * scale / (rss_.s22 + n); break;
+    case kT2AtR1: sinr = rss_.s12 / (rss_.s11 * scale + n); break;
+    case kR2Interfered: sinr = rss_.s22 / (rss_.s21 * scale + n); break;
+    case kRates: break;
+  }
+  slot = adapter_.rate(sinr).value();
+  return slot;
+}
+
+template <typename Bound, typename Dead>
+void BackoffSearch::bisect(int k, int j, double& best, const Bound& bound,
+                           const Dead& dead) {
+  if (k > j) return;
+  const double cap = bound(k, j);
+  if (cap <= best || dead(k, j)) return;
+  if (k == j) {
+    // cap > best >= 0 puts both rates above 0, and !dead is the case's
+    // decode condition: step k is feasible with min(r1, r2) = cap.
+    best = cap;
+    return;
+  }
+  const int m = k + (j - k) / 2;
+  if (bound(m + 1, j) > bound(k, m)) {
+    bisect(m + 1, j, best, bound, dead);
+    bisect(k, m, best, bound, dead);
+  } else {
+    bisect(k, m, best, bound, dead);
+    bisect(m + 1, j, best, bound, dead);
+  }
+}
+
+void BackoffSearch::run(int first, double& best) {
+  const BackoffScales& scale = backoff_scales();
+  const auto boundary = [&](auto holds) {
+    return static_cast<int>(
+        std::partition_point(scale.begin() + first, scale.end(), holds) -
+        scale.begin());
+  };
+  // R1 captures T1 (a_k >= S₁²) on [first, p1); R2 hears T1 louder than T2
+  // (c_k > S₂²) on [first, p2).
+  const int p1 = boundary([&](double s) { return rss_.s11 * s >= rss_.s12; });
+  const int p2 =
+      boundary([&](double s) { return !(rss_.s22 >= rss_.s21 * s); });
+  const int last = kBackoffSteps;
+
+  // (b): min(r1, r2) = min(R1Interfered, r2_clean) never rises, so the
+  // first feasible step is the case's best; R2 must decode T1 at r1.
+  bisect(
+      first, std::min(p1, p2) - 1, best,
+      [&](int k, int) { return std::min(at(kR1Interfered, k), r2_clean_); },
+      [&](int k, int j) { return at(kT1AtR2, k) < at(kR1Interfered, j); });
+  // (d): the same with T1's clean rate; R1 must also decode T2 at r2.
+  bisect(
+      p1, p2 - 1, best,
+      [&](int k, int) { return std::min(at(kR1Clean, k), r2_clean_); },
+      [&](int k, int j) {
+        return at(kT1AtR2, k) < at(kR1Clean, j) ||
+               at(kT2AtR1, j) < r2_clean_;
+      });
+  // (c): min(r1, r2) = min(R1Clean, R2Interfered) with the first never
+  // rising and the second never falling; R1 must decode T2 at r2.
+  bisect(
+      std::max(p1, p2), last, best,
+      [&](int k, int j) {
+        return std::min(at(kR1Clean, k), at(kR2Interfered, j));
+      },
+      [&](int k, int j) { return at(kT2AtR1, j) < at(kR2Interfered, k); });
 }
 
 }  // namespace
@@ -170,6 +321,27 @@ double cross_link_packing_gain(const channel::TwoLinkRss& rss,
   const double packed_per_packet = span / (k + 1);
   const double serial_per_packet = (k * t_fast_clean + t_slow_clean) / (k + 1);
   return std::max(base.gain, serial_per_packet / packed_per_packet);
+}
+
+double cross_link_power_control_gain(const channel::TwoLinkRss& rss,
+                                     const phy::RateAdapter& adapter,
+                                     double packet_bits) {
+  SIC_CHECK(packet_bits > 0.0);
+  const auto n = rss.noise;
+  const BitsPerSecond r1_clean = adapter.rate(rss.s11 / n);
+  const BitsPerSecond r2_clean = adapter.rate(rss.s22 / n);
+  const double serial = airtime_seconds(packet_bits, r1_clean) +
+                        airtime_seconds(packet_bits, r2_clean);
+  if (!std::isfinite(serial)) return 1.0;
+  // The largest min(r1, r2) over feasible grid points; 0 while none is.
+  // Full power (step 0) is searched once, in T1's direction.
+  double best = 0.0;
+  BackoffSearch{rss, adapter, r2_clean.value()}.run(0, best);
+  BackoffSearch{rss.mirrored(), adapter, r1_clean.value()}.run(1, best);
+  if (best <= 0.0) return 1.0;
+  // A concurrent pair takes max(L/r1, L/r2) = L/min(r1, r2).
+  return std::max(1.0, serial / airtime_seconds(packet_bits,
+                                                BitsPerSecond{best}));
 }
 
 }  // namespace sic::core

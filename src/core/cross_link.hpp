@@ -93,6 +93,20 @@ struct CrossLinkOptions {
                                              const phy::RateAdapter& adapter,
                                              const CrossLinkOptions& options);
 
+/// Fig. 11b power control: the best realized gain (≥ 1) of
+/// evaluate_cross_link over power reductions of either transmitter, on the
+/// grid 0, −0.25, …, −20 dB (reductions only, per Section 5.4's caveat
+/// against boosting). A reduction scales both RSS entries of the
+/// transmitter; the serial baseline always uses full power.
+///
+/// Returns exactly the value of scanning all 161 grid points, from a
+/// search that evaluates only a few of them (DESIGN.md, "Fig 11b
+/// power-control search"). Expects finite, non-negative RSS and positive
+/// noise.
+[[nodiscard]] double cross_link_power_control_gain(
+    const channel::TwoLinkRss& rss, const phy::RateAdapter& adapter,
+    double packet_bits = 12000.0);
+
 }  // namespace sic::core
 
 #endif  // SICMAC_CORE_CROSS_LINK_HPP

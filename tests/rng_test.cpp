@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace sic {
@@ -139,6 +142,138 @@ TEST(SplitMix64, KnownSequenceIsStable) {
   SplitMix64 sm2{0};
   EXPECT_EQ(sm2.next(), a);
   EXPECT_EQ(sm2.next(), b);
+}
+
+/// Seeds for the stream tests: edge values, then scattered ones.
+std::vector<std::uint64_t> stream_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 42, ~std::uint64_t{0}};
+  SplitMix64 sm{2024};
+  while (seeds.size() < 64) seeds.push_back(sm.next());
+  return seeds;
+}
+
+/// The stream Rng(seed) must draw: the standard engine on the
+/// SplitMix64-scrambled seed.
+std::mt19937_64 reference_engine(std::uint64_t seed) {
+  return std::mt19937_64{SplitMix64{seed}.next()};
+}
+
+/// The bits of one uniform [0, 1) draw from either source.
+std::uint64_t unit_bits(Rng& rng) {
+  return std::bit_cast<std::uint64_t>(rng.uniform(0.0, 1.0));
+}
+std::uint64_t unit_bits(std::mt19937_64& ref) {
+  return std::bit_cast<std::uint64_t>(
+      std::uniform_real_distribution<double>{0.0, 1.0}(ref));
+}
+
+constexpr std::size_t kPrefix = LazyMt19937_64::kPrefix;
+
+TEST(LazyMt19937_64, RawStreamEqualsStdEngineBeyondPrefixAndState) {
+  // Past the lazy prefix (the hand-off) and past 312 draws (the standard
+  // engine's first full regeneration).
+  for (const std::uint64_t seed : stream_seeds()) {
+    LazyMt19937_64 lazy{seed};
+    std::mt19937_64 ref{seed};
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(LazyMt19937_64, StandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  LazyMt19937_64 lazy{std::mt19937_64::default_seed};
+  for (int i = 1; i < 10000; ++i) (void)lazy();
+  EXPECT_EQ(lazy(), 9981545732273789042ULL);
+}
+
+TEST(Rng, DistributionsMatchStdEngineDrawForDraw) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::uint64_t seed : stream_seeds()) {
+    Rng rng{seed};
+    std::mt19937_64 ref = reference_engine(seed);
+    // Mixed calls, so the prefix runs out in the middle of each kind.
+    for (int i = 0; i < 400; ++i) {
+      switch (i % 4) {
+        case 0:
+          ASSERT_EQ(bits(rng.uniform(-3.0, 7.0)),
+                    bits(std::uniform_real_distribution<double>{-3.0, 7.0}(ref)))
+              << "seed " << seed << " call " << i;
+          break;
+        case 1: {
+          const int want = std::uniform_int_distribution<int>{-5, 1000}(ref);
+          ASSERT_EQ(rng.uniform_int(-5, 1000), want)
+              << "seed " << seed << " call " << i;
+          break;
+        }
+        case 2:
+          ASSERT_EQ(bits(rng.normal(1.0, 2.0)),
+                    bits(std::normal_distribution<double>{1.0, 2.0}(ref)))
+              << "seed " << seed << " call " << i;
+          break;
+        default:
+          ASSERT_EQ(rng.chance(0.3), std::bernoulli_distribution{0.3}(ref))
+              << "seed " << seed << " call " << i;
+          break;
+      }
+    }
+  }
+}
+
+TEST(Rng, AtStreamsMatchStdEngine) {
+  // Rng::at is Rng{SplitMix64{seed ^ index}.next()}: the standard engine
+  // after two SplitMix64 rounds.
+  for (std::uint64_t index = 0; index < 200; ++index) {
+    Rng rng = Rng::at(42, index);
+    std::mt19937_64 ref = reference_engine(SplitMix64{42 ^ index}.next());
+    for (std::size_t i = 0; i < kPrefix + 4; ++i) {
+      ASSERT_EQ(unit_bits(rng), unit_bits(ref))
+          << "index " << index << " draw " << i;
+    }
+  }
+}
+
+TEST(Rng, EngineHandOffContinuesTheStream) {
+  for (const std::uint64_t seed : stream_seeds()) {
+    for (const std::size_t drawn :
+         {std::size_t{0}, kPrefix - 1, kPrefix, kPrefix + 1, std::size_t{400}}) {
+      Rng rng{seed};
+      std::mt19937_64 ref = reference_engine(seed);
+      for (std::size_t i = 0; i < drawn; ++i) {
+        ASSERT_EQ(unit_bits(rng), unit_bits(ref));
+      }
+      std::mt19937_64& engine = rng.engine();
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_EQ(engine(), ref()) << "seed " << seed << " after " << drawn;
+      }
+      // Draws through the Rng after the hand-off come from the same engine.
+      EXPECT_EQ(unit_bits(rng), unit_bits(ref));
+      EXPECT_EQ(rng.engine(), ref);
+    }
+  }
+}
+
+TEST(Rng, CopiesWithinThePrefixStreamIndependently) {
+  for (const std::uint64_t seed : stream_seeds()) {
+    Rng original{seed};
+    std::mt19937_64 ref = reference_engine(seed);
+    for (int i = 0; i < 3; ++i) {
+      (void)original.uniform(0.0, 1.0);
+      (void)ref();
+    }
+    Rng copy = original;
+    std::mt19937_64 ref_copy = ref;
+    // The original runs past the prefix first; the copy must not notice.
+    std::uniform_int_distribution<int> draw{0, 1 << 30};
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(original.uniform_int(0, 1 << 30), draw(ref));
+    }
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(copy.uniform_int(0, 1 << 30), draw(ref_copy));
+    }
+  }
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace sic::mac {
 namespace {
@@ -218,6 +222,100 @@ TEST(RobustUpload, StaleRssDemotesChronicFailures) {
     saw_demotion |= result.failures.client_demotions > 0;
   }
   EXPECT_TRUE(saw_demotion);
+}
+
+/// The value of \p key in one trace event line, quotes stripped; empty
+/// when the line has no such key.
+std::string trace_arg(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + tag.size();
+  std::string value =
+      line.substr(begin, line.find_first_of(",}", begin) - begin);
+  std::erase(value, '"');
+  return value;
+}
+
+TEST(RobustUpload, RematchRoundPlansTheResidualOnItsOwnEstimates) {
+  // No channel faults, so the executor's estimates stay the input budgets.
+  // An ACK lost on a solo or serial slot leaves its client for the round
+  // boundary, and a large demotion threshold keeps every residual client
+  // pairable. Each re-match round's planned slots, read back from the
+  // trace, must be schedule_upload on exactly those clients' budgets.
+  const auto clients =
+      clients_db({30.0, 27.0, 24.0, 21.0, 18.0, 15.0, 12.0, 9.0});
+  core::SchedulerOptions options;
+  options.enable_power_control = true;
+  options.enable_multirate = true;
+  const auto schedule = core::schedule_upload(clients, kShannon, options);
+  UploadSimConfig config;
+  config.faults.cancellation_failure_prob = 0.5;
+  config.faults.ack_loss_prob = 0.3;
+  config.recovery.demote_after_failures = 1000;
+  config.recovery.rematch_options = options;
+  core::SchedulerOptions rematch = options;
+  rematch.packet_bits = config.packet_bits;
+
+  int checked = 0;  // re-match rounds of 2+ clients that are no prefix
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    config.seed = seed;
+    std::ostringstream os;
+    {
+      obs::TraceSink sink{os};
+      ASSERT_EQ(obs::set_trace(&sink), nullptr);
+      (void)run_scheduled_upload(clients, kShannon, schedule, config);
+      obs::set_trace(nullptr);
+      sink.flush();
+    }
+    std::istringstream lines{os.str()};
+    std::size_t residual_size = 0;  // clients the latest round re-plans
+    std::vector<int> residual;
+    std::string traced;  // that round's planned slots
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"name\":\"rematch\"") != std::string::npos) {
+        residual_size = std::stoul(trace_arg(line, "residual"));
+        residual.clear();
+        traced.clear();
+        continue;
+      }
+      // A round's planned slots run before its retries and cover each
+      // residual client once.
+      if (line.find("\"name\":\"slot\"") == std::string::npos ||
+          residual.size() >= residual_size) {
+        continue;
+      }
+      for (const char* key : {"first", "second"}) {
+        const std::string client = trace_arg(line, key);
+        if (!client.empty()) residual.push_back(std::stoi(client));
+      }
+      traced += trace_arg(line, "mode") + " " + trace_arg(line, "first") +
+                " " + trace_arg(line, "second") + ";";
+      if (residual.size() < residual_size) continue;
+      std::sort(residual.begin(), residual.end());
+      const bool prefix = residual.back() + 1 == static_cast<int>(residual.size());
+      if (prefix || residual.size() < 2) continue;
+      std::vector<channel::LinkBudget> budgets;
+      for (const int c : residual) {
+        budgets.push_back(clients[static_cast<std::size_t>(c)]);
+      }
+      const auto client = [&](int i) {
+        return i < 0 ? std::string{}
+                     : std::to_string(residual[static_cast<std::size_t>(i)]);
+      };
+      std::string planned;
+      for (const auto& slot :
+           core::schedule_upload(budgets, kShannon, rematch).slots) {
+        const core::PairMode mode =
+            slot.second < 0 ? core::PairMode::kSolo : slot.plan.mode;
+        planned += std::string(core::to_string(mode)) + " " +
+                   client(slot.first) + " " + client(slot.second) + ";";
+      }
+      EXPECT_EQ(traced, planned) << "seed " << seed;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

@@ -251,10 +251,21 @@ int cmd_backlog(const ArgParser& args) {
   return 0;
 }
 
+/// The integer flag, or a UsageError when it is below \p min.
+int require_at_least(const ArgParser& args, const std::string& flag,
+                     int fallback, int min) {
+  const int v = args.get_int(flag, fallback);
+  if (v < min) {
+    throw UsageError("flag --" + flag + ": " + std::to_string(v) +
+                     " must be >= " + std::to_string(min));
+  }
+  return v;
+}
+
 int cmd_montecarlo(const ArgParser& args) {
   const auto adapter = make_adapter(args.get_string("table", "shannon"));
   const std::string scenario = args.get_string("scenario", "upload");
-  const int trials = args.get_int("trials", 10000);
+  const int trials = require_at_least(args, "trials", 10000, 1);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const int threads = args.get_threads();
   topology::SamplerConfig config;
@@ -284,7 +295,8 @@ int cmd_montecarlo(const ArgParser& args) {
     report("+power control", s.power_control);
     report("+packing", s.packing);
   } else if (scenario == "deployment") {
-    const int clients = args.get_int("clients-per-cell", 8);
+    // The blossom schedule pairs clients: a cell needs two of them.
+    const int clients = require_at_least(args, "clients-per-cell", 8, 2);
     const auto gains = analysis::run_upload_deployment_gains(
         config, *adapter, trials, clients, seed, kBits, threads);
     std::printf(
@@ -620,7 +632,7 @@ int cmd_deploy(const ArgParser& args) {
 int cmd_report(const ArgParser& args) {
   // A self-contained markdown reproduction summary with bootstrap 95% CIs
   // on every headline fraction — the quick-look version of EXPERIMENTS.md.
-  const int trials = args.get_int("trials", 4000);
+  const int trials = require_at_least(args, "trials", 4000, 1);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const int threads = args.get_threads();
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
