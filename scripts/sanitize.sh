@@ -5,9 +5,10 @@
 #   scripts/sanitize.sh [asan|tsan] [extra ctest args...]
 #
 # asan (default): ASan + UBSan over the full ctest suite.
-# tsan: ThreadSanitizer over the concurrency surface — the thread pool and
-#       the parallel sweep engine (everything else is single-threaded and
-#       already covered by the asan run).
+# tsan: ThreadSanitizer over the concurrency surface — the thread pool, the
+#       parallel sweep engine, and the deployment engine, which scores
+#       association (AssociationPlanner) and serves APs on pool workers.
+#       The rest of the suite runs on one thread and is covered by asan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,7 +23,7 @@ if [[ "$mode" == "tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --preset tsan -j "$(nproc)" \
-      -R 'ThreadPool|ParallelSweep' "$@"
+      -R 'ThreadPool|ParallelSweep|DeploymentEngine|AssociationPlanner' "$@"
 else
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$(nproc)"

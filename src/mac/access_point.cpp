@@ -11,13 +11,25 @@ AccessPoint::AccessPoint(EventQueue& queue, Medium& medium, MacNodeId id)
       medium_(&medium),
       id_(id),
       per_source_(static_cast<std::size_t>(medium.n_nodes()), 0),
-      seen_ids_(static_cast<std::size_t>(medium.n_nodes())) {
+      seen_head_(static_cast<std::size_t>(medium.n_nodes()), -1) {
+  seen_.reserve(static_cast<std::size_t>(medium.n_nodes()));
+  ack_backlog_.reserve(2);  // the two ACKs of an SIC pair
   medium_->attach(id_, this);
 }
 
 std::uint64_t AccessPoint::received_from(MacNodeId src) const {
   SIC_CHECK(src >= 0 && src < static_cast<MacNodeId>(per_source_.size()));
   return per_source_[static_cast<std::size_t>(src)];
+}
+
+bool AccessPoint::first_reception(MacNodeId src, std::uint64_t id) {
+  int& head = seen_head_[static_cast<std::size_t>(src)];
+  for (int i = head; i >= 0; i = seen_[static_cast<std::size_t>(i)].next) {
+    if (seen_[static_cast<std::size_t>(i)].id == id) return false;
+  }
+  seen_.push_back(SeenId{id, head});
+  head = static_cast<int>(seen_.size()) - 1;
+  return true;
 }
 
 void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
@@ -47,10 +59,7 @@ void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
   if (frame.src >= 0 &&
       frame.src < static_cast<MacNodeId>(per_source_.size())) {
     ++per_source_[static_cast<std::size_t>(frame.src)];
-    if (!seen_ids_[static_cast<std::size_t>(frame.src)].insert(frame.id)
-             .second) {
-      ++stats_.duplicate_data;
-    }
+    if (!first_reception(frame.src, frame.id)) ++stats_.duplicate_data;
   }
   Frame ack;
   ack.id = (static_cast<std::uint64_t>(id_) << 48) | frame.id;
@@ -88,8 +97,10 @@ void AccessPoint::pump_acks() {
       pump_acks();
       return;
     }
+    // The backlog is a frame or two deep: popping the front by erase
+    // keeps its capacity for the next ACK.
     const Frame ack = ack_backlog_.front();
-    ack_backlog_.pop_front();
+    ack_backlog_.erase(ack_backlog_.begin());
     medium_->transmit(ack, medium_->phy().ack_rate);
     next_ack_ready_ =
         queue_->now() + medium_->frame_duration(ack, medium_->phy().ack_rate);

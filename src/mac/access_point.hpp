@@ -4,11 +4,11 @@
 /// \file access_point.hpp
 /// The upload-side AP: receives data frames (possibly two at once via the
 /// medium's SIC receiver model) and returns ACKs after SIFS, serializing
-/// back-to-back ACKs when a collision yielded two decodes.
+/// back-to-back ACKs when a collision yielded two decodes. Its per-frame
+/// book-keeping lives in flat buffers reused from frame to frame, so a
+/// frame allocates nothing once they have grown.
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "mac/event_queue.hpp"
@@ -43,17 +43,27 @@ class AccessPoint : public MediumListener {
  private:
   void pump_acks();
 
+  /// Records that \p src delivered frame \p id; false if it had already.
+  bool first_reception(MacNodeId src, std::uint64_t id);
+
   EventQueue* queue_;
   Medium* medium_;
   MacNodeId id_;
-  std::deque<Frame> ack_backlog_;
+  std::vector<Frame> ack_backlog_;  ///< queued ACK/CTS frames, send order
   SimTime next_ack_ready_ = 0;
   bool ack_scheduled_ = false;
   ApStats stats_;
   std::vector<std::uint64_t> per_source_;
-  /// Frame ids already received, per source (retransmissions keep the
-  /// original id, as 802.11 retries keep their sequence number).
-  std::vector<std::unordered_set<std::uint64_t>> seen_ids_;
+  /// Frame ids already received (retransmissions keep the original id, as
+  /// 802.11 retries keep their sequence number): one chain per source,
+  /// newest first, threaded through one pool. seen_head_[src] indexes the
+  /// source's newest entry, -1 when it has none.
+  struct SeenId {
+    std::uint64_t id;
+    int next;
+  };
+  std::vector<int> seen_head_;
+  std::vector<SeenId> seen_;
 };
 
 }  // namespace sic::mac

@@ -31,13 +31,22 @@ void flight_event(int epoch, int ap, int client, const char* kind,
   }
 }
 
-/// Name of an AP's health series, zero-padded so the registry's
-/// lexicographic name order matches numeric AP order (fleets beyond 999
-/// APs widen past the padding and would interleave; today's scales fit).
-std::string ap_health_series(int ap) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "deploy.ap%03d.health", ap);
+/// Name of an AP's health series, zero-padded to \p width digits so the
+/// registry's lexicographic name order matches numeric AP order.
+std::string ap_health_series(int ap, int width) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "deploy.ap%0*d.health", width, ap);
   return buf;
+}
+
+/// Digits of the largest AP id of an \p n_aps fleet, at least 3 — so every
+/// fleet of up to 1000 APs keeps its historical three-digit names.
+int ap_id_width(std::size_t n_aps) {
+  int width = 3;
+  for (std::size_t top = n_aps > 0 ? n_aps - 1 : 0; top >= 1000; top /= 10) {
+    ++width;
+  }
+  return width;
 }
 
 /// Removes \p client from an always-sorted member list. The list is kept
@@ -842,8 +851,9 @@ EpochStats DeploymentEngine::run_epoch() {
     ts->series("deploy.handoffs").record(e, stats.handoffs);
     // Per-AP health only for APs that served: a dead AP's column goes
     // blank in the CSV, which is exactly how an outage should read.
+    const int width = ap_id_width(aps_.size());
     for (const int id : serving) {
-      ts->series(ap_health_series(id))
+      ts->series(ap_health_series(id, width))
           .record(e, aps_[static_cast<std::size_t>(id)].last_health);
     }
   }

@@ -1,5 +1,6 @@
 #include "mac/fault_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -90,13 +91,14 @@ bool FaultModel::should_fail_decode(const Frame& frame, bool sic_path) {
   if (!sic_path || frame.type != FrameType::kData) return false;
   if (config_.cancellation_failure_prob <= 0.0) return false;
   if (!rng_.chance(config_.cancellation_failure_prob)) return false;
-  injected_.insert(frame.id);
+  injected_.push_back(frame.id);
   ++injected_count_;
   return true;
 }
 
 bool FaultModel::was_injected(std::uint64_t frame_id) const {
-  return injected_.contains(frame_id);
+  return std::find(injected_.begin(), injected_.end(), frame_id) !=
+         injected_.end();
 }
 
 bool FaultModel::ack_lost() {

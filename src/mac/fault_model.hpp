@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "channel/fading.hpp"
@@ -132,7 +131,8 @@ class FaultModel {
   FaultConfig config_;
   Rng rng_;
   std::vector<channel::Ar1ShadowingTrack> tracks_;
-  std::unordered_set<std::uint64_t> injected_;
+  /// Frame ids injected since the last clear — at most a slot's frames.
+  std::vector<std::uint64_t> injected_;
   std::uint64_t injected_count_ = 0;
 };
 

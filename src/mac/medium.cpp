@@ -20,6 +20,10 @@ Medium::Medium(EventQueue& queue, int n_nodes, Milliwatts noise,
       listeners_(static_cast<std::size_t>(n_nodes), nullptr) {
   SIC_CHECK(n_nodes >= 1);
   SIC_CHECK(noise.value() > 0.0);
+  // Room for an SIC pair and its ACKs before any buffer has to grow.
+  active_.reserve(4);
+  recent_.reserve(4);
+  overlaps_.reserve(4);
 }
 
 void Medium::set_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss) {
@@ -34,6 +38,13 @@ void Medium::set_directional_gain(MacNodeId tx, MacNodeId rx,
   gains_[static_cast<std::size_t>(tx) * n_nodes_ + rx] = rss;
 }
 
+void Medium::fill_gains(Milliwatts rss) {
+  std::fill(gains_.begin(), gains_.end(), rss);
+  for (int n = 0; n < n_nodes_; ++n) {
+    gains_[static_cast<std::size_t>(n) * n_nodes_ + n] = Milliwatts{0.0};
+  }
+}
+
 Milliwatts Medium::gain(MacNodeId tx, MacNodeId rx) const {
   SIC_DCHECK(tx >= 0 && tx < n_nodes_ && rx >= 0 && rx < n_nodes_);
   return gains_[static_cast<std::size_t>(tx) * n_nodes_ + rx];
@@ -42,6 +53,10 @@ Milliwatts Medium::gain(MacNodeId tx, MacNodeId rx) const {
 void Medium::attach(MacNodeId node, MediumListener* listener) {
   SIC_CHECK(node >= 0 && node < n_nodes_);
   listeners_[static_cast<std::size_t>(node)] = listener;
+  const auto it = std::lower_bound(attached_.begin(), attached_.end(), node);
+  const bool listed = it != attached_.end() && *it == node;
+  if (listener != nullptr && !listed) attached_.insert(it, node);
+  if (listener == nullptr && listed) attached_.erase(it);
 }
 
 bool Medium::carrier_busy(MacNodeId node) const {
@@ -77,24 +92,24 @@ void Medium::transmit(const Frame& frame, BitsPerSecond rate,
   SIC_CHECK(power_scale > 0.0 && power_scale <= 1.0);
   SIC_CHECK_MSG(!is_transmitting(frame.src),
                 "node is already transmitting (half duplex)");
-  Transmission t;
-  t.key = next_key_++;
-  t.frame = frame;
-  t.rate = rate;
-  t.power_scale = power_scale;
-  t.start = queue_->now();
-  t.end = t.start + frame_duration(frame, rate);
-  for (auto& other : active_) {
-    other.interferers.push_back(t.key);
-    t.interferers.push_back(other.key);
-  }
-  const std::uint64_t key = t.key;
-  const SimTime end = t.end;
-  active_.push_back(std::move(t));
+  const SimTime start = queue_->now();
+  const Transmission t{next_key_++, frame, rate, power_scale, start,
+                       start + frame_duration(frame, rate)};
+  for (const auto& other : active_) overlaps_.push_back({other.key, t.key});
+  active_.push_back(t);
   ++stats_.transmissions;
   // Schedule before notifying: a listener may transmit reentrantly.
-  queue_->schedule_at(end, [this, key] { finish(key); });
+  queue_->schedule_at(t.end, [this, key = t.key] { finish(key); });
   notify_channel_update();
+}
+
+const Medium::Transmission& Medium::find_tx(std::uint64_t key) const {
+  const auto has_key = [key](const Transmission& t) { return t.key == key; };
+  const auto live = std::find_if(active_.begin(), active_.end(), has_key);
+  if (live != active_.end()) return *live;
+  const auto ended = std::find_if(recent_.begin(), recent_.end(), has_key);
+  SIC_CHECK_MSG(ended != recent_.end(), "interferer transmission lost");
+  return *ended;
 }
 
 namespace {
@@ -138,44 +153,39 @@ void Medium::finish(std::uint64_t key) {
   const auto it = std::find_if(active_.begin(), active_.end(),
                                [key](const auto& t) { return t.key == key; });
   SIC_CHECK(it != active_.end());
-  Transmission done = std::move(*it);
+  const Transmission done = *it;
   active_.erase(it);
 
-  // Resolve a transmission by key among active and recently ended ones.
-  const auto find_tx = [this](std::uint64_t k) -> const Transmission* {
-    for (const auto& t : active_) {
-      if (t.key == k) return &t;
-    }
-    for (const auto& t : recent_) {
-      if (t.key == k) return &t;
-    }
-    return nullptr;
+  const auto overlaps_done = [&done](const Overlap& o) {
+    return o.a == done.key || o.b == done.key;
   };
 
   // Decode verdict for an arbitrary receiver — the destination and any
   // overhearers share the same receiver model.
   const auto decode_at = [&](MacNodeId receiver) -> DecodeVerdict {
     bool half_duplex_conflict = false;
-    std::vector<const Transmission*> interferers;
-    for (const std::uint64_t k : done.interferers) {
-      const Transmission* o = find_tx(k);
-      SIC_CHECK_MSG(o != nullptr, "interferer transmission lost");
-      if (o->frame.src == receiver) {
+    std::size_t n_interferers = 0;
+    const Transmission* interferer = nullptr;
+    for (const Overlap& o : overlaps_) {
+      if (!overlaps_done(o)) continue;
+      const Transmission& other = find_tx(o.a == done.key ? o.b : o.a);
+      if (other.frame.src == receiver) {
         half_duplex_conflict = true;
       } else {
-        interferers.push_back(o);
+        ++n_interferers;
+        interferer = &other;
       }
     }
     const Milliwatts signal =
         gain(done.frame.src, receiver) * done.power_scale;
     if (half_duplex_conflict) return DecodeVerdict::kFailHalfDuplex;
-    if (interferers.empty()) {
+    if (n_interferers == 0) {
       return adapter_->feasible(done.rate, signal / noise_)
                  ? DecodeVerdict::kCleanOk
                  : DecodeVerdict::kFailClean;
     }
-    if (interferers.size() == 1) {
-      const Transmission& other = *interferers.front();
+    if (n_interferers == 1) {
+      const Transmission& other = *interferer;
       const Milliwatts irss =
           gain(other.frame.src, receiver) * other.power_scale;
       if (signal >= irss) {
@@ -211,14 +221,17 @@ void Medium::finish(std::uint64_t key) {
   }
   // Overhearers: every other attached node that could decode this frame
   // (feeds virtual carrier sense / NAV).
-  std::vector<MacNodeId> overhearers;
-  for (MacNodeId n = 0; n < n_nodes_; ++n) {
+  overhearers_.clear();
+  for (const MacNodeId n : attached_) {
     if (n == dst || n == done.frame.src) continue;
-    if (listeners_[static_cast<std::size_t>(n)] == nullptr) continue;
-    if (is_success(decode_at(n))) overhearers.push_back(n);
+    if (is_success(decode_at(n))) overhearers_.push_back(n);
   }
 
   const bool decoded = is_success(verdict);
+  const auto interferer_count = [&] {
+    return static_cast<std::size_t>(
+        std::count_if(overlaps_.begin(), overlaps_.end(), overlaps_done));
+  };
   // Frame-fate diagnostics, formerly the SICMAC_MEDIUM_LOG env toggle:
   // now --log-level debug / SICMAC_LOG_LEVEL=debug.
   SIC_LOG_DEBUG(
@@ -227,7 +240,7 @@ void Medium::finish(std::uint64_t key) {
       to_seconds(queue_->now()) * 1e6, frame_type_name(done.frame.type),
       done.frame.src, done.frame.dst, done.frame.payload_bits,
       done.rate.megabits(), to_seconds(done.start) * 1e6, to_string(verdict),
-      done.interferers.size());
+      interferer_count());
   // Every transmission becomes a span on its sender's track, its decode
   // verdict an annotation — this is what makes a faulty round visible on
   // the Perfetto timeline.
@@ -239,7 +252,7 @@ void Medium::finish(std::uint64_t key) {
                    obs::TraceSink::Args{
                        {"dst", std::to_string(done.frame.dst)},
                        {"verdict", to_string(verdict)},
-                       {"interferers", std::to_string(done.interferers.size())},
+                       {"interferers", std::to_string(interferer_count())},
                    });
   }
   switch (verdict) {
@@ -258,34 +271,37 @@ void Medium::finish(std::uint64_t key) {
     case DecodeVerdict::kFailNoDestination: break;
   }
 
-  // Keep the ended transmission around while any active one still lists it
-  // as an interferer; prune the rest.
-  const Frame delivered_frame = done.frame;
-  recent_.push_back(std::move(done));
+  // An overlap is needed until both its ends have been decoded, and an
+  // ended transmission only while an overlap still names it.
+  recent_.push_back(done);
+  const auto active = [this](std::uint64_t k) {
+    return std::any_of(active_.begin(), active_.end(),
+                       [k](const Transmission& t) { return t.key == k; });
+  };
+  std::erase_if(overlaps_, [&](const Overlap& o) {
+    return !active(o.a) && !active(o.b);
+  });
   std::erase_if(recent_, [this](const Transmission& r) {
-    for (const auto& a : active_) {
-      if (std::find(a.interferers.begin(), a.interferers.end(), r.key) !=
-          a.interferers.end()) {
-        return false;
-      }
-    }
-    return true;
+    return std::none_of(overlaps_.begin(), overlaps_.end(),
+                        [&r](const Overlap& o) {
+                          return o.a == r.key || o.b == r.key;
+                        });
   });
 
   if (dst >= 0 && dst < n_nodes_ && listeners_[static_cast<std::size_t>(dst)]) {
-    listeners_[static_cast<std::size_t>(dst)]->on_frame_received(
-        delivered_frame, decoded);
+    listeners_[static_cast<std::size_t>(dst)]->on_frame_received(done.frame,
+                                                                 decoded);
   }
-  for (const MacNodeId n : overhearers) {
+  for (const MacNodeId n : overhearers_) {
     MediumListener* l = listeners_[static_cast<std::size_t>(n)];
-    if (l != nullptr) l->on_frame_overheard(delivered_frame);
+    if (l != nullptr) l->on_frame_overheard(done.frame);
   }
   notify_channel_update();
 }
 
 void Medium::notify_channel_update() {
-  for (MediumListener* l : listeners_) {
-    if (l != nullptr) l->on_channel_update();
+  for (const MacNodeId n : attached_) {
+    listeners_[static_cast<std::size_t>(n)]->on_channel_update();
   }
 }
 

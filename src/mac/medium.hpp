@@ -67,6 +67,11 @@ class Medium {
   /// versa).
   void set_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss);
 
+  /// Sets the gain between every pair of distinct nodes to \p rss in one
+  /// pass — the bulk form of set_gain for a medium whose links are mostly
+  /// alike; override the exceptions with set_gain afterwards.
+  void fill_gains(Milliwatts rss);
+
   /// One-directional gain, for nodes with asymmetric transmit powers.
   void set_directional_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss);
   [[nodiscard]] Milliwatts gain(MacNodeId tx, MacNodeId rx) const;
@@ -74,7 +79,10 @@ class Medium {
   [[nodiscard]] int n_nodes() const { return n_nodes_; }
 
   /// Registers the listener for \p node (frames addressed to it + channel
-  /// updates). Pass nullptr to detach.
+  /// updates). Pass nullptr to detach. Listeners are notified in node
+  /// order, and only attached nodes are walked, so a medium with one
+  /// listener pays O(1) per frame whatever its node count. A listener may
+  /// call transmit() from any notification, but not attach().
   void attach(MacNodeId node, MediumListener* listener);
 
   /// Carrier sense at \p node: true when it is itself transmitting or any
@@ -102,7 +110,9 @@ class Medium {
 
   /// Starts a transmission; duration = preamble + bits/rate. The frame is
   /// evaluated for decoding at frame.dst when it ends. \p power_scale
-  /// models Section 5.2 power reduction.
+  /// models Section 5.2 power reduction. Once the medium's buffers have
+  /// grown to the run's peak concurrency, a transmission allocates
+  /// nothing.
   void transmit(const Frame& frame, BitsPerSecond rate,
                 double power_scale = 1.0);
 
@@ -121,12 +131,15 @@ class Medium {
     double power_scale;
     SimTime start;
     SimTime end;
-    /// Keys of transmissions that overlapped this one at any point.
-    std::vector<std::uint64_t> interferers;
+  };
+  /// Two transmissions that were on the air together at some instant.
+  struct Overlap {
+    std::uint64_t a;
+    std::uint64_t b;
   };
 
   void finish(std::uint64_t key);
-  [[nodiscard]] bool evaluate_decode(const Transmission& t) const;
+  [[nodiscard]] const Transmission& find_tx(std::uint64_t key) const;
   void notify_channel_update();
 
   EventQueue* queue_;
@@ -137,10 +150,16 @@ class Medium {
   PhyParams phy_;
   std::vector<Milliwatts> gains_;
   std::vector<MediumListener*> listeners_;
+  /// Nodes with a listener, ascending.
+  std::vector<MacNodeId> attached_;
   std::vector<Transmission> active_;
-  /// Ended transmissions kept while still referenced as interferers of
-  /// active ones.
+  /// Ended transmissions kept while they overlap an active one (whose
+  /// decode still needs them).
   std::vector<Transmission> recent_;
+  /// Every overlap with at least one active end.
+  std::vector<Overlap> overlaps_;
+  /// Scratch of finish(): attached nodes that overheard the frame.
+  std::vector<MacNodeId> overhearers_;
   MediumStats stats_;
   DecodeFaultHook fault_hook_;
   std::uint64_t next_key_ = 1;

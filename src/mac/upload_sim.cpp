@@ -90,12 +90,9 @@ std::unique_ptr<Medium> build_medium(EventQueue& queue,
   decoder.max_decodable_disparity = config.max_decodable_disparity;
   auto medium =
       std::make_unique<Medium>(queue, n_nodes, noise, adapter, decoder);
-  const Milliwatts mutual = noise * config.client_mutual_snr.linear();
+  medium->fill_gains(noise * config.client_mutual_snr.linear());
   for (int i = 0; i < static_cast<int>(clients.size()); ++i) {
     medium->set_gain(kApId, i + 1, clients[static_cast<std::size_t>(i)].rss);
-    for (int j = i + 1; j < static_cast<int>(clients.size()); ++j) {
-      medium->set_gain(i + 1, j + 1, mutual);
-    }
   }
   return medium;
 }
@@ -188,19 +185,14 @@ class ClosedLoopRunner {
         sink_(obs::trace()),
         executor_tid_(static_cast<int>(clients.size()) + 1) {
     const std::size_t n = clients.size();
-    estimates_.reserve(n);
-    for (const auto& c : clients_) estimates_.push_back(c.rss);
-    pending_.assign(n, 0);
-    attempts_.assign(n, 0);
-    failures_.assign(n, 0);
-    dropped_.assign(n, false);
-    demoted_.assign(n, false);
-    ap_seen_.assign(n, 0);
-    last_cause_.assign(n, FailCause::kNone);
+    records_.reserve(n);
+    for (const auto& c : clients_) records_.push_back(ClientRecord{c.rss});
     unrecovered_per_client_.assign(n, 0);
     const int buckets =
         std::clamp(config.recovery.max_attempts_per_frame, 1, 16);
     telemetry_.retry_histogram.assign(static_cast<std::size_t>(buckets), 0);
+    // Room for the plan plus one retry slot per client before growing.
+    round_slots_.reserve(schedule.slots.size() + n);
     for (const auto& slot : schedule.slots) {
       RunSlot rs;
       rs.first = slot.first;
@@ -208,8 +200,10 @@ class ClosedLoopRunner {
       rs.mode = slot.second < 0 ? core::PairMode::kSolo : slot.plan.mode;
       rs.planned_weaker_scale = slot.plan.weaker_power_scale;
       rs.use_planned_scale = true;
-      ++pending_[static_cast<std::size_t>(slot.first)];
-      if (slot.second >= 0) ++pending_[static_cast<std::size_t>(slot.second)];
+      ++records_[static_cast<std::size_t>(slot.first)].pending;
+      if (slot.second >= 0) {
+        ++records_[static_cast<std::size_t>(slot.second)].pending;
+      }
       round_slots_.push_back(rs);
     }
   }
@@ -223,15 +217,15 @@ class ClosedLoopRunner {
   /// Accounts frames still pending when the horizon cut the run short.
   void finalize() {
     close_round_span("horizon");
-    for (std::size_t c = 0; c < pending_.size(); ++c) {
-      if (pending_[c] > 0 && !dropped_[c]) give_up(c);
+    for (std::size_t c = 0; c < records_.size(); ++c) {
+      if (records_[c].pending > 0 && !records_[c].dropped) give_up(c);
     }
   }
 
-  [[nodiscard]] const FailureTelemetry& telemetry() const { return telemetry_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& unrecovered_per_client()
-      const {
-    return unrecovered_per_client_;
+  /// Hands the run's accounting to \p result (call once, after finalize).
+  void move_results_into(UploadSimResult& result) {
+    result.failures = std::move(telemetry_);
+    result.unrecovered_per_client = std::move(unrecovered_per_client_);
   }
 
  private:
@@ -251,13 +245,26 @@ class ClosedLoopRunner {
   /// cause attributed when the executor abandons that client's frames.
   enum class FailCause { kNone, kRateMiss, kCancellation, kAckLoss };
 
+  /// The executor's state of one client.
+  struct ClientRecord {
+    Milliwatts estimate;        ///< executor's channel knowledge
+    int pending = 0;            ///< unconfirmed frames
+    int attempts = 0;           ///< transmissions
+    int failures = 0;           ///< failed exchanges
+    bool dropped = false;       ///< gave up on this client
+    bool demoted = false;       ///< barred from pairing
+    std::uint64_t ap_seen = 0;  ///< AP receive counter last seen
+    FailCause last_cause = FailCause::kNone;  ///< most recent failure
+  };
+
   /// Abandons every pending frame of client \p c, splitting the loss by
   /// the last observed failure cause (kNone = never checked: horizon).
   void give_up(std::size_t c) {
-    const auto count = static_cast<std::uint64_t>(pending_[c]);
+    ClientRecord& r = records_[c];
+    const auto count = static_cast<std::uint64_t>(r.pending);
     telemetry_.unrecovered += count;
     unrecovered_per_client_[c] += count;
-    switch (last_cause_[c]) {
+    switch (r.last_cause) {
       case FailCause::kRateMiss: telemetry_.gave_up_rate_miss += count; break;
       case FailCause::kCancellation:
         telemetry_.gave_up_cancellation += count;
@@ -265,7 +272,7 @@ class ClosedLoopRunner {
       case FailCause::kAckLoss: telemetry_.gave_up_ack_loss += count; break;
       case FailCause::kNone: telemetry_.gave_up_unattempted += count; break;
     }
-    pending_[c] = 0;
+    r.pending = 0;
   }
 
   [[nodiscard]] static std::uint64_t frame_id(int client) {
@@ -279,11 +286,10 @@ class ClosedLoopRunner {
   /// by the plan's admission margin plus the client's retry backoff.
   /// Transmissions still leave at full (or planner-scaled) power.
   [[nodiscard]] Milliwatts selection_rss(int client) const {
-    const std::size_t c = static_cast<std::size_t>(client);
+    const ClientRecord& r = records_[static_cast<std::size_t>(client)];
     const double backoff_db =
-        margin_db_ +
-        failures_[c] * config_->recovery.retry_backoff.value();
-    return estimates_[c] * Decibels{-backoff_db}.linear();
+        margin_db_ + r.failures * config_->recovery.retry_backoff.value();
+    return r.estimate * Decibels{-backoff_db}.linear();
   }
 
   [[nodiscard]] BitsPerSecond clean_rate(int client) const {
@@ -313,9 +319,9 @@ class ClosedLoopRunner {
   }
 
   void note_attempt(int client) {
-    const std::size_t c = static_cast<std::size_t>(client);
-    ++attempts_[c];
-    if (attempts_[c] > 1) ++telemetry_.retransmissions;
+    ClientRecord& r = records_[static_cast<std::size_t>(client)];
+    ++r.attempts;
+    if (r.attempts > 1) ++telemetry_.retransmissions;
   }
 
   void run_slot(std::size_t index) {
@@ -343,15 +349,10 @@ class ClosedLoopRunner {
         const SimTime t1 =
             send(slot.first, clean_rate(slot.first), 1.0, bits, true);
         const SimTime gap = t1 + phy.sifs + phy.ack_duration() + phy.sifs;
-        const int second = slot.second;
-        queue_->schedule_after(gap, [this, second, index, bits] {
-          const SimTime t2 =
-              send(second, clean_rate(second), 1.0, bits, true);
-          const PhyParams& p = medium_->phy();
-          queue_->schedule_after(t2 + p.sifs + p.ack_duration() + p.sifs,
-                                 [this, index] { finish_slot(index); });
-        });
-        return;  // continuation handles the slot completion
+        tail_client_ = slot.second;
+        tail_bits_ = bits;
+        queue_->schedule_after(gap, [this, index] { send_tail(index); });
+        return;  // send_tail handles the slot completion
       }
       case core::PairMode::kSicMultirate: {
         SIC_CHECK(slot.second >= 0);
@@ -378,17 +379,12 @@ class ClosedLoopRunner {
         }
         // After the overlap and the weaker packet's ACK turnaround, the
         // stronger client boosts the remainder to its clean rate.
-        const double remaining = std::max(0.0, bits - mr.overlap_bits);
+        tail_client_ = strong;
+        tail_bits_ = std::max(0.0, bits - mr.overlap_bits);
         const SimTime gap =
             overlap_span + phy.sifs + phy.ack_duration() + phy.sifs;
-        queue_->schedule_after(gap, [this, strong, remaining, index] {
-          const SimTime t_tail =
-              send(strong, clean_rate(strong), 1.0, remaining, true);
-          const PhyParams& p = medium_->phy();
-          queue_->schedule_after(t_tail + p.sifs + p.ack_duration() + p.sifs,
-                                 [this, index] { finish_slot(index); });
-        });
-        return;  // continuation handles the slot completion
+        queue_->schedule_after(gap, [this, index] { send_tail(index); });
+        return;  // send_tail handles the slot completion
       }
       case core::PairMode::kSic:
       case core::PairMode::kSicPowerControl: {
@@ -415,12 +411,25 @@ class ClosedLoopRunner {
     queue_->schedule_after(turnaround, [this, index] { finish_slot(index); });
   }
 
+  /// Second half of a serial or multirate slot: tail_client_ sends
+  /// tail_bits_ at its clean rate, then the slot completes after the ACK
+  /// turnaround. The tail lives in members, not in the event's captures,
+  /// so the callbacks stay two words (see mac/event_queue.hpp); one slot
+  /// is on the air at a time, so one tail suffices.
+  void send_tail(std::size_t index) {
+    const SimTime t =
+        send(tail_client_, clean_rate(tail_client_), 1.0, tail_bits_, true);
+    const PhyParams& p = medium_->phy();
+    queue_->schedule_after(t + p.sifs + p.ack_duration() + p.sifs,
+                           [this, index] { finish_slot(index); });
+  }
+
   /// Stronger/weaker roles from the executor's *estimates* — under stale
   /// RSS the realized ordering may differ, which is itself a failure mode.
   [[nodiscard]] std::pair<int, int> strong_weak(const RunSlot& slot) const {
     const bool first_stronger =
-        estimates_[static_cast<std::size_t>(slot.first)] >=
-        estimates_[static_cast<std::size_t>(slot.second)];
+        records_[static_cast<std::size_t>(slot.first)].estimate >=
+        records_[static_cast<std::size_t>(slot.second)].estimate;
     return first_stronger ? std::pair{slot.first, slot.second}
                           : std::pair{slot.second, slot.first};
   }
@@ -494,53 +503,52 @@ class ClosedLoopRunner {
 
   CheckOutcome check_client(int client) {
     const std::size_t c = static_cast<std::size_t>(client);
-    if (pending_[c] <= 0) return CheckOutcome::kConfirmed;
+    ClientRecord& r = records_[c];
+    if (r.pending <= 0) return CheckOutcome::kConfirmed;
     const std::uint64_t total = ap_->received_from(client + 1);
-    const std::uint64_t delta = total - ap_seen_[c];
-    ap_seen_[c] = total;
+    const std::uint64_t delta = total - r.ap_seen;
+    r.ap_seen = total;
     if (delta > 0) {
       if (faults_->ack_lost()) {
         // The AP has the frame; the station never hears so and will
         // retransmit — the duplicate-delivery path.
         ++telemetry_.ack_losses;
-        last_cause_[c] = FailCause::kAckLoss;
+        r.last_cause = FailCause::kAckLoss;
         if (sink_ != nullptr) {
           sink_->instant("ack_loss", now_us(), client + 1);
         }
       } else {
-        --pending_[c];
-        const std::size_t bucket =
-            std::min(static_cast<std::size_t>(attempts_[c] > 0
-                                                  ? attempts_[c] - 1
-                                                  : 0),
-                     telemetry_.retry_histogram.size() - 1);
+        --r.pending;
+        const std::size_t bucket = std::min(
+            static_cast<std::size_t>(r.attempts > 0 ? r.attempts - 1 : 0),
+            telemetry_.retry_histogram.size() - 1);
         ++telemetry_.retry_histogram[bucket];
-        if (attempts_[c] > 1) ++telemetry_.recovered;
+        if (r.attempts > 1) ++telemetry_.recovered;
         return CheckOutcome::kConfirmed;
       }
     } else if (faults_->was_injected(frame_id(client))) {
       ++telemetry_.cancellation_failures;
-      last_cause_[c] = FailCause::kCancellation;
+      r.last_cause = FailCause::kCancellation;
       if (sink_ != nullptr) {
         sink_->instant("cancellation_failure", now_us(), client + 1);
       }
     } else {
       ++telemetry_.rate_misses;
-      last_cause_[c] = FailCause::kRateMiss;
+      r.last_cause = FailCause::kRateMiss;
       if (sink_ != nullptr) {
         sink_->instant("rate_miss", now_us(), client + 1);
       }
     }
-    ++failures_[c];
+    ++r.failures;
     if (!config_->recovery.enabled ||
-        attempts_[c] >= config_->recovery.max_attempts_per_frame) {
+        r.attempts >= config_->recovery.max_attempts_per_frame) {
       give_up(c);
-      dropped_[c] = true;
+      r.dropped = true;
       SIC_LOG_WARN("client %d dropped after %d attempts", client,
-                   attempts_[c]);
+                   r.attempts);
       if (sink_ != nullptr) {
         sink_->instant("drop", now_us(), client + 1,
-                       {{"attempts", std::to_string(attempts_[c])}});
+                       {{"attempts", std::to_string(r.attempts)}});
       }
       return CheckOutcome::kDropped;
     }
@@ -562,20 +570,21 @@ class ClosedLoopRunner {
   /// a fresh channel estimate. Re-measure, advance the channel, and
   /// re-match the residual backlog.
   void end_round() {
-    std::vector<int> residual;
-    for (std::size_t c = 0; c < pending_.size(); ++c) {
-      if (pending_[c] > 0) residual.push_back(static_cast<int>(c));
+    residual_.clear();
+    residual_.reserve(records_.size());
+    for (std::size_t c = 0; c < records_.size(); ++c) {
+      if (records_[c].pending > 0) residual_.push_back(static_cast<int>(c));
     }
-    close_round_span(residual.empty() ? "drained" : "residual");
-    if (residual.empty()) return;  // all confirmed or dropped: drain
+    close_round_span(residual_.empty() ? "drained" : "residual");
+    if (residual_.empty()) return;  // all confirmed or dropped: drain
     SIC_LOG_DEBUG("round %d ends with %zu residual clients", rounds_,
-                  residual.size());
+                  residual_.size());
     if (!config_->recovery.enabled ||
         rounds_ >= config_->recovery.max_rematch_rounds) {
-      for (const int client : residual) {
+      for (const int client : residual_) {
         const std::size_t c = static_cast<std::size_t>(client);
         give_up(c);
-        dropped_[c] = true;
+        records_[c].dropped = true;
       }
       return;
     }
@@ -584,70 +593,73 @@ class ClosedLoopRunner {
     if (sink_ != nullptr) {
       sink_->instant("rematch", now_us(), executor_tid_,
                      {{"round", std::to_string(rounds_)},
-                      {"residual", std::to_string(residual.size())}});
+                      {"residual", std::to_string(residual_.size())}});
     }
 
     // Fresh measurement of every client, then one AR(1) step so the
     // re-matched slots fly through a channel that has again drifted.
     if (faults_->config().channel_faults()) {
-      for (std::size_t c = 0; c < estimates_.size(); ++c) {
-        estimates_[c] = faults_->true_rss(clients_[c].rss, static_cast<int>(c));
+      for (std::size_t c = 0; c < records_.size(); ++c) {
+        records_[c].estimate =
+            faults_->true_rss(clients_[c].rss, static_cast<int>(c));
       }
       faults_->advance_epoch();
-      for (std::size_t c = 0; c < estimates_.size(); ++c) {
+      for (std::size_t c = 0; c < records_.size(); ++c) {
         medium_->set_gain(kApId, static_cast<int>(c) + 1,
                           faults_->true_rss(clients_[c].rss,
                                             static_cast<int>(c)));
       }
     }
 
-    std::vector<int> pairable;
-    std::vector<int> solo;
-    for (const int client : residual) {
-      const std::size_t c = static_cast<std::size_t>(client);
-      if (failures_[c] >= config_->recovery.demote_after_failures) {
-        if (!demoted_[c]) {
-          demoted_[c] = true;
+    pairable_.clear();
+    pairable_.reserve(residual_.size());
+    solo_.clear();
+    solo_.reserve(residual_.size());
+    for (const int client : residual_) {
+      ClientRecord& r = records_[static_cast<std::size_t>(client)];
+      if (r.failures >= config_->recovery.demote_after_failures) {
+        if (!r.demoted) {
+          r.demoted = true;
           ++telemetry_.client_demotions;
           if (sink_ != nullptr) {
             sink_->instant("client_demotion", now_us(), client + 1,
-                           {{"failures", std::to_string(failures_[c])}});
+                           {{"failures", std::to_string(r.failures)}});
           }
         }
-        solo.push_back(client);
+        solo_.push_back(client);
       } else {
-        pairable.push_back(client);
+        pairable_.push_back(client);
       }
     }
 
     round_slots_.clear();
-    if (pairable.size() >= 2) {
+    if (pairable_.size() >= 2) {
       core::SchedulerOptions options = config_->recovery.rematch_options;
       options.packet_bits = config_->packet_bits;
-      std::vector<channel::LinkBudget> budgets;
-      budgets.reserve(pairable.size());
-      for (const int client : pairable) {
-        budgets.push_back(channel::LinkBudget{
-            estimates_[static_cast<std::size_t>(client)], noise_});
+      budgets_.clear();
+      budgets_.reserve(pairable_.size());
+      for (const int client : pairable_) {
+        budgets_.push_back(channel::LinkBudget{
+            records_[static_cast<std::size_t>(client)].estimate, noise_});
       }
       const core::Schedule rematched =
-          core::schedule_upload(budgets, *adapter_, options);
+          core::schedule_upload(budgets_, *adapter_, options);
       margin_db_ = options.admission_margin_db.value();
       for (const auto& s : rematched.slots) {
         RunSlot rs;
-        rs.first = pairable[static_cast<std::size_t>(s.first)];
+        rs.first = pairable_[static_cast<std::size_t>(s.first)];
         rs.second =
-            s.second >= 0 ? pairable[static_cast<std::size_t>(s.second)] : -1;
+            s.second >= 0 ? pairable_[static_cast<std::size_t>(s.second)] : -1;
         rs.mode = s.second < 0 ? core::PairMode::kSolo : s.plan.mode;
         rs.planned_weaker_scale = s.plan.weaker_power_scale;
         rs.use_planned_scale = true;
         round_slots_.push_back(rs);
       }
     } else {
-      for (const int client : pairable) solo.push_back(client);
+      for (const int client : pairable_) solo_.push_back(client);
     }
-    std::sort(solo.begin(), solo.end());
-    for (const int client : solo) {
+    std::sort(solo_.begin(), solo_.end());
+    for (const int client : solo_) {
       RunSlot rs;
       rs.first = client;
       rs.mode = core::PairMode::kSolo;
@@ -685,17 +697,17 @@ class ClosedLoopRunner {
   double margin_db_;
   Milliwatts noise_;
 
-  std::vector<Milliwatts> estimates_;   ///< executor's channel knowledge
-  std::vector<int> pending_;            ///< unconfirmed frames per client
-  std::vector<int> attempts_;           ///< transmissions per client
-  std::vector<int> failures_;           ///< failed exchanges per client
-  std::vector<bool> dropped_;           ///< gave up on this client
-  std::vector<bool> demoted_;           ///< barred from pairing
-  std::vector<std::uint64_t> ap_seen_;  ///< AP receive counters last seen
-  std::vector<FailCause> last_cause_;   ///< most recent failure per client
+  std::vector<ClientRecord> records_;  ///< indexed like clients_
   std::vector<std::uint64_t> unrecovered_per_client_;
   std::vector<RunSlot> round_slots_;
+  /// end_round() scratch, reused by every round of the run.
+  std::vector<int> residual_;
+  std::vector<int> pairable_;
+  std::vector<int> solo_;
+  std::vector<channel::LinkBudget> budgets_;
   int rounds_ = 0;
+  int tail_client_ = -1;    ///< sender of the in-flight slot's second half
+  double tail_bits_ = 0.0;  ///< and its payload
   FailureTelemetry telemetry_;
 
   /// Pure observers — write-only from the simulation's point of view.
@@ -750,8 +762,7 @@ UploadSimResult run_scheduled_upload(
   result.delivered = ap.stats().data_received;
   result.completion_s = to_seconds(queue.now());
   result.medium = medium->stats();
-  result.failures = runner.telemetry();
-  result.unrecovered_per_client = runner.unrecovered_per_client();
+  runner.move_results_into(result);
   result.failures.duplicate_deliveries = ap.stats().duplicate_data;
   result.retries = result.failures.retransmissions;
   result.drops = result.failures.unrecovered;

@@ -576,6 +576,54 @@ TEST(DeploymentEngine, HealthDropsUnderBurstAndTimeSeriesRecordsIt) {
   }
 }
 
+/// AP ids of the per-AP health columns, in the CSV header's order.
+std::vector<int> health_columns(const std::string& csv) {
+  const std::string header = csv.substr(0, csv.find('\n'));
+  const std::string prefix = "deploy.ap";
+  const std::string suffix = ".health";
+  std::vector<int> ids;
+  std::size_t start = 0;
+  while (start <= header.size()) {
+    std::size_t end = header.find(',', start);
+    if (end == std::string::npos) end = header.size();
+    const std::string col = header.substr(start, end - start);
+    if (col.size() > prefix.size() + suffix.size() &&
+        col.starts_with(prefix) && col.ends_with(suffix)) {
+      ids.push_back(std::stoi(col.substr(
+          prefix.size(), col.size() - prefix.size() - suffix.size())));
+    }
+    start = end + 1;
+  }
+  return ids;
+}
+
+TEST(DeploymentEngine, HealthSeriesSortInApOrderPastThousandAps) {
+  // The time-series CSV orders columns by name, so per-AP series must be
+  // padded to one width: with 1001 APs, ap1000 may not land between
+  // ap100 and ap101.
+  obs::TimeSeriesRegistry series;
+  obs::TimeSeriesRegistry* prev = obs::set_timeseries(&series);
+  std::vector<topology::Point> sites;
+  for (int i = 0; i < 1001; ++i) sites.push_back({200.0 * i, 0.0});
+  DeploymentEngine engine{sites, kShannon, DeploymentEngineConfig{}};
+  for (const int ap : {1000, 101, 100}) {
+    (void)engine.add_client({200.0 * ap + 5.0, 0.0});
+  }
+  (void)engine.run_epoch();
+  (void)obs::set_timeseries(prev);
+  EXPECT_EQ(health_columns(series.csv()), (std::vector<int>{100, 101, 1000}));
+
+  // Up to 1000 APs the names keep their three-digit padding.
+  obs::TimeSeriesRegistry small;
+  prev = obs::set_timeseries(&small);
+  DeploymentEngine few{{{0.0, 0.0}, {200.0, 0.0}}, kShannon,
+                       DeploymentEngineConfig{}};
+  (void)few.add_client({205.0, 0.0});
+  (void)few.run_epoch();
+  (void)obs::set_timeseries(prev);
+  EXPECT_NE(small.csv().find(",deploy.ap001.health"), std::string::npos);
+}
+
 TEST(InvariantAuditor, SeededViolationsActuallyFire) {
   // A deliberately inconsistent snapshot must trip every law: broken
   // conservation, a client served by a dead AP, and a quarantined client

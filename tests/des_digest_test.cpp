@@ -1,0 +1,281 @@
+/// Bit-for-bit pins of the discrete-event simulator. Each test folds every
+/// field of many seeded runs into one FNV-1a digest and compares it with a
+/// recorded value, so any change to event order, decode verdicts, RNG draw
+/// order or result accounting in mac/ shows up as a digest mismatch. The
+/// grids cover both executors, Shannon and 802.11g rates, plain and
+/// power-control + multirate plans, every injected fault class, and a
+/// chaotic multi-AP deployment.
+///
+/// A deliberate behaviour change re-records the constants: run the suite,
+/// read the "actual" digest from the failure message, and say why in the
+/// change's notes.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string_view>
+#include <vector>
+
+#include "core/scheduler.hpp"
+#include "mac/deployment_engine.hpp"
+#include "mac/upload_sim.hpp"
+#include "obs/trace_sink.hpp"
+#include "phy/rate_table.hpp"
+#include "util/rng.hpp"
+
+namespace sic::mac {
+namespace {
+
+/// FNV-1a over 64-bit words, fed least-significant byte first so the
+/// digest does not depend on the host's byte order.
+class Fnv1a {
+ public:
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void words(const std::vector<std::uint64_t>& v) {
+    word(v.size());
+    for (const std::uint64_t x : v) word(x);
+  }
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+void fold(Fnv1a& d, const UploadSimResult& r) {
+  d.real(r.completion_s);
+  d.word(r.offered);
+  d.word(r.delivered);
+  d.word(r.retries);
+  d.word(r.drops);
+  const MediumStats& m = r.medium;
+  for (const std::uint64_t v :
+       {m.transmissions, m.delivered, m.failed_clean, m.failed_collision,
+        m.sic_decodes, m.capture_decodes, m.injected_failures}) {
+    d.word(v);
+  }
+  const FailureTelemetry& f = r.failures;
+  for (const std::uint64_t v :
+       {f.rate_misses, f.cancellation_failures, f.ack_losses,
+        f.duplicate_deliveries, f.retransmissions, f.mode_demotions,
+        f.client_demotions, f.rematch_rounds, f.recovered, f.unrecovered,
+        f.gave_up_rate_miss, f.gave_up_cancellation, f.gave_up_ack_loss,
+        f.gave_up_unattempted}) {
+    d.word(v);
+  }
+  d.words(f.retry_histogram);
+  d.words(r.unrecovered_per_client);
+}
+
+/// n clients with AP-side SNRs drawn uniformly from [4, 36] dB.
+std::vector<channel::LinkBudget> seeded_cell(int n, std::uint64_t seed) {
+  Rng rng{seed * 7919 + static_cast<std::uint64_t>(n)};
+  std::vector<channel::LinkBudget> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(channel::LinkBudget{
+        Milliwatts{Decibels{rng.uniform(4.0, 36.0)}.linear()},
+        Milliwatts{1.0}});
+  }
+  return out;
+}
+
+/// The run-wide counters summed over a grid, so the test can show which
+/// recovery paths the digest actually covers.
+struct Coverage {
+  std::uint64_t runs = 0;
+  std::uint64_t transmissions = 0;
+  std::uint64_t sic_decodes = 0;
+  std::uint64_t capture_decodes = 0;
+  std::uint64_t failed_collision = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t rematch_rounds = 0;
+  std::uint64_t cancellation_failures = 0;
+  std::uint64_t ack_losses = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t mode_demotions = 0;
+
+  void add(const UploadSimResult& r) {
+    ++runs;
+    transmissions += r.medium.transmissions;
+    sic_decodes += r.medium.sic_decodes;
+    capture_decodes += r.medium.capture_decodes;
+    failed_collision += r.medium.failed_collision;
+    retransmissions += r.failures.retransmissions;
+    rematch_rounds += r.failures.rematch_rounds;
+    cancellation_failures += r.failures.cancellation_failures;
+    ack_losses += r.failures.ack_losses;
+    duplicates += r.failures.duplicate_deliveries;
+    mode_demotions += r.failures.mode_demotions;
+  }
+};
+
+constexpr std::uint64_t kScheduledDigest = 0x25d0e5ce8118549dULL;
+constexpr std::uint64_t kDcfDigest = 0x0daf3d53239e55c2ULL;
+constexpr std::uint64_t kEngineDigest = 0x038420f3c44b974dULL;
+
+TEST(UploadSim, SeededRunsMatchRecordedDigest) {
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  const phy::RateAdapter* adapters[] = {&shannon, &dot11g};
+
+  Fnv1a scheduled;
+  Coverage sched_cov;
+  for (const phy::RateAdapter* adapter : adapters) {
+    for (const bool techniques : {false, true}) {
+      core::SchedulerOptions options;
+      options.enable_power_control = techniques;
+      options.enable_multirate = techniques;
+      for (const int faults : {0, 1, 2}) {
+        for (const int n : {2, 7, 40}) {
+          for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+            const auto clients = seeded_cell(n, seed);
+            const core::Schedule schedule =
+                core::schedule_upload(clients, *adapter, options);
+            UploadSimConfig config;
+            config.seed = seed;
+            if (faults == 1) {
+              config.faults.stale_rss_sigma = Decibels{4.0};
+              config.faults.cancellation_failure_prob = 0.01;
+              config.faults.ack_loss_prob = 0.01;
+            } else if (faults == 2) {
+              Rng drift{seed + 100};
+              for (int i = 0; i < n; ++i) {
+                config.faults.initial_drift.push_back(
+                    Decibels{drift.uniform(-6.0, 3.0)});
+              }
+            }
+            const UploadSimResult r =
+                run_scheduled_upload(clients, *adapter, schedule, config);
+            fold(scheduled, r);
+            sched_cov.add(r);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(sched_cov.runs, 108u);
+  EXPECT_GT(sched_cov.sic_decodes, 0u);
+  EXPECT_GT(sched_cov.capture_decodes, 0u);
+  EXPECT_GT(sched_cov.retransmissions, 0u);
+  EXPECT_GT(sched_cov.rematch_rounds, 0u);
+  EXPECT_GT(sched_cov.mode_demotions, 0u);
+  EXPECT_GT(sched_cov.cancellation_failures, 0u);
+  EXPECT_GT(sched_cov.ack_losses, 0u);
+  EXPECT_GT(sched_cov.duplicates, 0u);
+  EXPECT_EQ(scheduled.value(), kScheduledDigest)
+      << std::hex << "actual 0x" << scheduled.value();
+
+  // Contention: every station is a medium listener, so carrier sense,
+  // overhearing (NAV) and the RTS/CTS handshake all run. Hidden clients
+  // (mutual SNR below carrier sense) make collisions the AP must resolve.
+  Fnv1a dcf;
+  Coverage dcf_cov;
+  for (const phy::RateAdapter* adapter : adapters) {
+    for (const bool rts_cts : {false, true}) {
+      for (const double mutual_db : {25.0, -5.0}) {
+        for (const int n : {2, 7}) {
+          for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+            UploadSimConfig config;
+            config.seed = seed;
+            config.frames_per_client = 3;
+            config.rate_margin = 0.8;
+            config.use_rts_cts = rts_cts;
+            config.client_mutual_snr = Decibels{mutual_db};
+            const UploadSimResult r =
+                run_dcf_upload(seeded_cell(n, seed), *adapter, config);
+            fold(dcf, r);
+            dcf_cov.add(r);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(dcf_cov.runs, 48u);
+  EXPECT_GT(dcf_cov.failed_collision, 0u);
+  EXPECT_GT(dcf_cov.sic_decodes + dcf_cov.capture_decodes, 0u);
+  EXPECT_EQ(dcf.value(), kDcfDigest) << std::hex << "actual 0x" << dcf.value();
+}
+
+TEST(DeploymentEngine, SeededEpochsMatchRecordedDigest) {
+  // 300 clients over a 4 x 3 lattice of APs under the default chaos
+  // profile (outages, bursts, churn) with in-run faults on top, so the
+  // ladder, quarantine and every inner recovery path can move the digest.
+  // The scheduled executor spaces its slots so that no result depends on
+  // the order of equal-time events; the Perfetto trace, which records
+  // every frame in the order its end event ran, is folded in as well, so
+  // the digest also pins that order.
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  DeploymentEngineConfig config;
+  config.scheduler.enable_power_control = true;
+  config.scheduler.enable_multirate = true;
+  config.epoch_drift_sigma = Decibels{2.0};
+  config.upload.faults.stale_rss_sigma = Decibels{2.0};
+  config.upload.faults.cancellation_failure_prob = 0.01;
+  config.upload.faults.ack_loss_prob = 0.01;
+  config.seed = 19;
+  std::vector<topology::Point> sites;
+  for (int i = 0; i < 12; ++i) {
+    sites.push_back({50.0 * (i % 4), 50.0 * (i / 4)});
+  }
+  DeploymentEngine engine{sites, shannon, config,
+                          FaultSchedule::preset("default", 300)};
+  Rng place{config.seed};
+  for (int c = 0; c < 300; ++c) {
+    (void)engine.add_client(
+        {place.uniform(-20.0, 170.0), place.uniform(-20.0, 120.0)});
+  }
+
+  std::ostringstream trace;
+  obs::TraceSink sink{trace};
+  obs::TraceSink* prev = obs::set_trace(&sink);
+  Fnv1a d;
+  std::uint64_t transmissions = 0;
+  for (int e = 0; e < 4; ++e) {
+    const EpochStats s = engine.run_epoch();
+    for (const std::uint64_t v :
+         {s.offered, s.confirmed, s.unrecovered, s.deferred, s.decisions}) {
+      d.word(v);
+    }
+    for (const int v :
+         {s.epoch, s.live_aps, s.active_clients, s.quarantined_clients,
+          s.handoffs, s.rematched_aps, s.outages_started, s.bursts_started,
+          s.arrivals, s.departures, s.quarantines, s.readmissions,
+          s.ladder_steps, s.watchdog_fires}) {
+      d.word(static_cast<std::uint64_t>(v));
+    }
+    d.real(s.mean_health);
+    for (int ap = 0; ap < engine.n_aps(); ++ap) {
+      d.word(engine.ap_alive(ap) ? 1 : 0);
+      d.word(static_cast<std::uint64_t>(engine.ladder_level(ap)));
+      d.word(engine.ap_members(ap).size());
+      for (const int m : engine.ap_members(ap)) {
+        d.word(static_cast<std::uint64_t>(m));
+      }
+      const UploadSimResult& r = engine.last_ap_result(ap);
+      fold(d, r);
+      transmissions += r.medium.transmissions;
+    }
+  }
+  (void)obs::set_trace(prev);
+  sink.flush();
+  d.text(trace.str());
+  EXPECT_GT(transmissions, 0u);
+  EXPECT_EQ(d.value(), kEngineDigest) << std::hex << "actual 0x" << d.value();
+}
+
+}  // namespace
+}  // namespace sic::mac
