@@ -10,7 +10,9 @@
 #include "core/backlog.hpp"
 #include "util/rng.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Ablation — backlogged queues and packet packing",
                 "packing's edge over pairing grows with queue depth and "
@@ -63,4 +65,10 @@ int main() {
   std::printf("\n(gain = serial drain time / scheduled drain time, averaged "
               "over %d random 10-client cells)\n", kTrials);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

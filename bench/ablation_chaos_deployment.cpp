@@ -75,9 +75,7 @@ double mean_recovery_epochs(const std::vector<sic::mac::EpochStats>& epochs,
   return outages == 0 ? 0.0 : total / static_cast<double>(outages);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   const auto csv = bench::csv_prefix(argc, argv);
@@ -255,4 +253,10 @@ int main(int argc, char** argv) {
       "\"confirmed_frac\":%.4f,\"mean_health\":%.4f}\n",
       dps, smoke_recovery, smoke_steady, smoke_health);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

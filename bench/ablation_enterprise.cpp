@@ -12,7 +12,9 @@
 #include "core/enterprise.hpp"
 #include "util/rng.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Ablation — enterprise multi-AP coordination",
                 "joint association + pairing vs strongest-AP association");
@@ -62,4 +64,10 @@ int main() {
               "orthogonal rows are makespan, the shared row is total "
               "airtime)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

@@ -15,7 +15,9 @@
 #include "topology/samplers.hpp"
 #include "util/rng.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Ablation — imperfect cancellation and ADC saturation",
                 "Section 9: imperfections sharply cut down SIC's usefulness");
@@ -58,4 +60,10 @@ int main() {
     bench::print_fractions(label, cdf);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

@@ -11,7 +11,9 @@
 #include "analysis/stats.hpp"
 #include "bench_util.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Ablation — bitrate granularity squeezes SIC",
                 "coarser rate ladders leave more slack for SIC to harvest; "
@@ -58,4 +60,10 @@ int main() {
               "pure eq(5)/eq(6) ratio rather than quantization slack, and "
               "land near the 802.11g level.)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

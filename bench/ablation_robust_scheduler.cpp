@@ -45,9 +45,7 @@ struct Row {
   double completion_s = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   const auto csv = bench::csv_prefix(argc, argv);
@@ -163,4 +161,10 @@ int main(int argc, char** argv) {
             csv_rows.str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

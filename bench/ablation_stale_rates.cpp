@@ -24,7 +24,9 @@
 #include "topology/samplers.hpp"
 #include "util/rng.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Ablation — stale rates and safety margins",
                 "the adapter's backoff margin is SIC's only food, and "
@@ -88,4 +90,10 @@ int main() {
               "drifts; even 12 dB of margin mostly yields capture, not "
               "full SIC.)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

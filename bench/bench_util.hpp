@@ -38,16 +38,43 @@ inline int threads(int argc, char** argv) {
   return ArgParser{argc, argv}.get_threads();
 }
 
+/// A figure binary could not write one of its output files.
+class OutputError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 inline void write_text_file(const std::string& path,
                             const std::string& content) {
   errno = 0;
   std::ofstream os{path};
   if (!os) {
-    throw std::runtime_error("cannot open for write: " + path + ": " +
-                             std::strerror(errno));
+    throw OutputError("cannot open for write: " + path + ": " +
+                      std::strerror(errno));
   }
   os << content;
+  os.flush();
+  if (!os) throw OutputError("write failed: " + path);
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// Runs a figure or ablation binary's \p body and maps a failure to the
+/// sicmac CLI's exit codes (README "Exit codes"): a UsageError exits 2, an
+/// OutputError (a CSV that could not be written) 3, and any other
+/// exception 1. Each failure prints one line on stderr.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "usage error: %s\n", e.what());
+    return 2;
+  } catch (const OutputError& e) {
+    std::fprintf(stderr, "io error: %s\n", e.what());
+    return 3;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 /// Wall clock for the run manifest; construct at the top of main().

@@ -8,7 +8,9 @@
 #include "bench_util.hpp"
 #include "phy/capacity.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Fig. 2 — capacity curves with and without SIC",
                 "C(+SIC) = B log2(1 + (S1+S2)/N0) exceeds both individual "
@@ -43,4 +45,10 @@ int main() {
                 phy::capacity_with_sic(b, arrival).megabits());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

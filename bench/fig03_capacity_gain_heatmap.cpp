@@ -8,7 +8,9 @@
 #include "bench_util.hpp"
 #include "phy/capacity.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   bench::header("Fig. 3 — capacity gain heatmap",
@@ -42,4 +44,10 @@ int main(int argc, char** argv) {
         bench::manifest(/*seed=*/0, timer, 41 * 41) + grid.to_csv());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

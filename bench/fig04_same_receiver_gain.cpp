@@ -9,7 +9,9 @@
 #include "bench_util.hpp"
 #include "core/upload_pair.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   bench::header("Fig. 4 — same-receiver completion-time gain heatmap",
@@ -50,4 +52,10 @@ int main(int argc, char** argv) {
         bench::manifest(/*seed=*/0, timer, 41 * 41) + grid.to_csv());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

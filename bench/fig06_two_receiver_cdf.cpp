@@ -7,7 +7,9 @@
 #include "analysis/montecarlo.hpp"
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   bench::header("Fig. 6 — two transmitters to different receivers",
@@ -50,4 +52,10 @@ int main(int argc, char** argv) {
     bench::print_fractions(label, cdf);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 #include "core/power_control.hpp"
 #include "core/scheduler.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Fig. 10 — pairing / power control / multirate illustration",
                 "serial 15 units; pairings ~{11.5, 12, 13}; power control "
@@ -115,4 +117,10 @@ int main() {
   std::printf("  pairing + multirate     = %.2f units (Fig. 10f)\n",
               mr2 / unit2);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

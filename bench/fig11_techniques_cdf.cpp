@@ -9,7 +9,9 @@
 #include "analysis/montecarlo.hpp"
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
@@ -70,4 +72,10 @@ int main(int argc, char** argv) {
                            man + bench::cdf_csv(b_pk));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

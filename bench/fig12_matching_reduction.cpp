@@ -11,7 +11,9 @@
 #include "core/scheduler.hpp"
 #include "matching/blossom.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace sic;
   bench::header("Fig. 12 — the scheduling → matching reduction",
                 "pair costs t_ij, dummy client for odd counts, min-weight "
@@ -81,4 +83,10 @@ int main() {
               1e6 * schedule.total_airtime, 1e6 * serial,
               serial / schedule.total_airtime);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

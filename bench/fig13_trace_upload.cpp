@@ -12,7 +12,9 @@
 #include "bench_util.hpp"
 #include "trace/generator.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   bench::header("Fig. 13 — trace-driven upload pairing",
@@ -60,4 +62,10 @@ int main(int argc, char** argv) {
                            man + bench::cdf_csv(greedy));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

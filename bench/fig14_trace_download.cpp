@@ -11,7 +11,9 @@
 #include "bench_util.hpp"
 #include "trace/link_trace.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
   bench::header("Fig. 14 — trace-driven download link pairs",
@@ -68,4 +70,10 @@ int main(int argc, char** argv) {
                            man + bench::cdf_csv(disc_pack));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

@@ -9,8 +9,11 @@
 /// so CI can assert both the speedup and the bit-identity of the samples
 /// across thread counts (speedup and identity are against the first entry
 /// of --threads-list). download_trace stays the last sweep: CI gates its
-/// line. Flags: --trials N, --threads-list a,b,c.
+/// line, which also carries rng_streams_per_sec, the per-trial stream
+/// cost (see rng_streams_per_sec() below). Flags: --trials N,
+/// --threads-list a,b,c.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "analysis/montecarlo.hpp"
+#include "analysis/parallel.hpp"
 #include "analysis/trace_eval.hpp"
 #include "bench_util.hpp"
 #include "trace/link_trace.hpp"
@@ -32,9 +36,28 @@ struct Sweep {
   std::function<std::vector<double>(int threads)> run;
 };
 
-}  // namespace
+/// Trial streams per second through map_trials' seeding path at one
+/// thread, each making 4 uniform draws (a Fig. 6 trial's count): what a
+/// trial pays before its math. The median of 5 runs of 2^18 streams.
+double rng_streams_per_sec() {
+  constexpr std::int64_t kStreams = std::int64_t{1} << 18;
+  analysis::ParallelRunner runner{{.threads = 1}};
+  std::vector<double> rates;
+  for (int r = 0; r < 5; ++r) {
+    const bench::RunTimer timer;
+    const auto sums = runner.map_trials<double>(
+        kStreams, 42, [](Rng& rng, std::int64_t) {
+          double sum = 0.0;
+          for (int d = 0; d < 4; ++d) sum += rng.uniform(0.0, 1.0);
+          return sum;
+        });
+    rates.push_back(static_cast<double>(sums.size()) / timer.elapsed_s());
+  }
+  std::sort(rates.begin(), rates.end());
+  return rates[rates.size() / 2];
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const ArgParser args{argc, argv};
   const int trials = args.get_int("trials", 20000);
   std::vector<int> thread_counts;
@@ -85,10 +108,12 @@ int main(int argc, char** argv) {
        }},
   };
 
+  const double streams_per_sec = rng_streams_per_sec();
   for (const auto& sweep : sweeps) {
     std::vector<double> baseline;
     double baseline_rate = 0.0;
-    for (const int threads : thread_counts) {
+    for (std::size_t k = 0; k < thread_counts.size(); ++k) {
+      const int threads = thread_counts[k];
       const bench::RunTimer timer;
       const auto samples = sweep.run(threads);
       const double wall_ms = 1e3 * timer.elapsed_s();
@@ -106,14 +131,26 @@ int main(int argc, char** argv) {
         }
       }
       const double speedup = baseline_rate > 0.0 ? rate / baseline_rate : 0.0;
+      char last_line_keys[64] = "";
+      if (&sweep == &sweeps.back() && k + 1 == thread_counts.size()) {
+        std::snprintf(last_line_keys, sizeof last_line_keys,
+                      ",\"rng_streams_per_sec\":%.1f", streams_per_sec);
+      }
       std::printf(
           "{\"bench\":\"perf_montecarlo\",\"sweep\":\"%s\",\"threads\":%d,"
           "\"trials\":%lld,\"wall_ms\":%.1f,\"samples_per_sec\":%.1f,"
-          "\"speedup_vs_%d\":%.2f,\"identical_to_first\":%s}\n",
+          "\"speedup_vs_%d\":%.2f,\"identical_to_first\":%s%s}\n",
           sweep.name, threads, static_cast<long long>(sweep.samples), wall_ms,
-          rate, thread_counts.front(), speedup, identical ? "true" : "false");
+          rate, thread_counts.front(), speedup, identical ? "true" : "false",
+          last_line_keys);
       if (!identical) return 1;  // determinism contract broken
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sic::bench::run_main(argc, argv, run);
 }

@@ -6,9 +6,11 @@
 #
 # asan (default): ASan + UBSan over the full ctest suite.
 # tsan: ThreadSanitizer over the concurrency surface — the thread pool, the
-#       parallel sweep engine, and the deployment engine, which scores
-#       association (AssociationPlanner) and serves APs on pool workers.
-#       The rest of the suite runs on one thread and is covered by asan.
+#       parallel sweep engine (its reused pools, and the batched trial
+#       streams its workers seed, RngBatch), and the deployment engine,
+#       which scores association (AssociationPlanner) and serves APs on
+#       pool workers. The rest of the suite runs on one thread and is
+#       covered by asan.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +25,7 @@ if [[ "$mode" == "tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     ctest --preset tsan -j "$(nproc)" \
-      -R 'ThreadPool|ParallelSweep|DeploymentEngine|AssociationPlanner' "$@"
+      -R 'ThreadPool|ParallelSweep|RngBatch|DeploymentEngine|AssociationPlanner' "$@"
 else
   cmake --preset sanitize
   cmake --build --preset sanitize -j "$(nproc)"

@@ -27,6 +27,7 @@
 /// contract on the sweep hot path.
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -81,24 +82,41 @@ class SweepObsMerger {
   std::mutex mu_;
 };
 
-/// Reusable thread-pool sweep engine. Construct once (threads spawn here),
-/// then run any number of sweeps through map_trials()/map_indices().
+/// Thread-pool sweep engine. Construct once, then run any number of
+/// sweeps through map_trials()/map_indices().
+///
+/// The pool is borrowed: a runner takes an idle pool of its size from a
+/// free list owned by the constructing thread, spawning one only when
+/// none is idle, and returns it to the destroying thread's list. Back-to-
+/// back sweeps on one thread thus reuse one set of workers. A busy pool
+/// is never on a list, so a sweep nested in another sweep's body, or one
+/// run concurrently from another thread, never shares it.
 class ParallelRunner {
  public:
   explicit ParallelRunner(const ParallelOptions& options = {});
+  ~ParallelRunner();
 
-  [[nodiscard]] int threads() const { return pool_.threads(); }
+  ParallelRunner(const ParallelRunner&) = delete;
+  ParallelRunner& operator=(const ParallelRunner&) = delete;
+
+  [[nodiscard]] int threads() const { return pool_->threads(); }
 
   /// results[t] = body(rng_t, t) with rng_t = Rng::at(seed, t). T must be
   /// default-constructible; body must be callable concurrently (pure
   /// functions of rng + inputs — the obs attach points are thread-local,
-  /// so instrumented callees are safe).
+  /// so instrumented callees are safe). Each chunk seeds its trials'
+  /// streams in batches (Rng::for_each_at), then runs the bodies in index
+  /// order.
   template <typename T, typename Body>
   std::vector<T> map_trials(std::int64_t trials, std::uint64_t seed,
                             const Body& body) {
-    return map_indices<T>(trials, [&](std::int64_t t) {
-      Rng rng = Rng::at(seed, static_cast<std::uint64_t>(t));
-      return body(rng, t);
+    return map_chunks<T>(trials, [&](std::int64_t begin, std::int64_t end,
+                                     std::vector<T>& results) {
+      Rng::for_each_at(seed, static_cast<std::uint64_t>(begin),
+                       static_cast<std::uint64_t>(end),
+                       [&](Rng& rng, std::uint64_t t) {
+                         results[t] = body(rng, static_cast<std::int64_t>(t));
+                       });
     });
   }
 
@@ -107,15 +125,26 @@ class ParallelRunner {
   /// machinery as map_trials().
   template <typename T, typename Body>
   std::vector<T> map_indices(std::int64_t n, const Body& body) {
+    return map_chunks<T>(n, [&](std::int64_t begin, std::int64_t end,
+                                std::vector<T>& results) {
+      for (std::int64_t i = begin; i < end; ++i) {
+        results[static_cast<std::size_t>(i)] = body(i);
+      }
+    });
+  }
+
+ private:
+  /// Runs fill(begin, end, results) over the chunks of [0, n) and returns
+  /// results.
+  template <typename T, typename Fill>
+  std::vector<T> map_chunks(std::int64_t n, const Fill& fill) {
     SIC_CHECK(n >= 0);
     std::vector<T> results(static_cast<std::size_t>(n));
     SweepObsMerger merger;
-    pool_.parallel_for(n, chunk_, [&](std::int64_t begin, std::int64_t end) {
+    pool_->parallel_for(n, chunk_, [&](std::int64_t begin, std::int64_t end) {
       if (!merger.active()) {
         // Detached: no scratch registry, no merge — zero obs cost.
-        for (std::int64_t i = begin; i < end; ++i) {
-          results[static_cast<std::size_t>(i)] = body(i);
-        }
+        fill(begin, end, results);
         return;
       }
       // Chunk boundary = obs batch boundary: instrumented callees publish
@@ -123,15 +152,12 @@ class ParallelRunner {
       // are identical across thread counts), folded into the shared
       // accumulator once per chunk.
       SweepObsMerger::ChunkScope scope{merger};
-      for (std::int64_t i = begin; i < end; ++i) {
-        results[static_cast<std::size_t>(i)] = body(i);
-      }
+      fill(begin, end, results);
     });
     return results;
   }
 
- private:
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> pool_;
   std::int64_t chunk_;
 };
 

@@ -467,9 +467,11 @@ void DeploymentEngine::serve_ap(ApState& ap) {
       c.est_drift = c.drift;
     }
   }
-  // Planning estimates (member order).
-  std::vector<channel::LinkBudget> budgets;
-  budgets.reserve(ap.members.size());
+  // Planning estimates (member order) and execution offsets, in buffers
+  // this thread reuses for every AP it serves.
+  thread_local std::vector<channel::LinkBudget> budgets;
+  thread_local std::vector<Decibels> offsets;
+  budgets.clear();
   for (const int m : ap.members) {
     const channel::LinkBudget nominal = nominal_budget(m, ap.id);
     const Decibels est = clients_[static_cast<std::size_t>(m)].est_drift;
@@ -494,17 +496,18 @@ void DeploymentEngine::serve_ap(ApState& ap) {
   run.seed = epoch_seed(config_.seed, ap.id, epoch_);
   run.recovery.enabled = config_.closed_loop;
   run.recovery.rematch_options = ladder_options(std::min(ap.ladder, 2));
-  std::vector<Decibels> offsets(ap.members.size(), Decibels{0.0});
+  offsets.clear();
   bool any_offset = false;
-  for (std::size_t i = 0; i < ap.members.size(); ++i) {
-    const ClientState& c =
-        clients_[static_cast<std::size_t>(ap.members[i])];
+  for (const int m : ap.members) {
+    const ClientState& c = clients_[static_cast<std::size_t>(m)];
     const Decibels off = c.drift - c.est_drift - ap.burst;
-    offsets[i] = off;
+    offsets.push_back(off);
     any_offset = any_offset || off != Decibels{0.0};
   }
-  if (any_offset) run.faults.initial_drift = std::move(offsets);
+  // Lend the buffer to this run's config and take it back afterwards.
+  if (any_offset) run.faults.initial_drift.swap(offsets);
   ap.last = run_scheduled_upload(budgets, *adapter_, ap.schedule, run);
+  if (any_offset) offsets.swap(run.faults.initial_drift);
 }
 
 void DeploymentEngine::score_health(const std::vector<int>& serving,

@@ -52,13 +52,13 @@ void FaultConfig::validate(int n_clients) const {
 
 FaultModel::FaultModel(const FaultConfig& config, int n_clients,
                        std::uint64_t seed)
-    : config_(config), rng_(seed) {
+    : config_(config), seed_(seed) {
   config.validate(n_clients);
   if (config_.stale_rss_sigma > Decibels{0.0}) {
     tracks_.reserve(static_cast<std::size_t>(n_clients));
     for (int i = 0; i < n_clients; ++i) {
       tracks_.emplace_back(config_.stale_rss_rho, config_.stale_rss_sigma,
-                           rng_);
+                           rng());
     }
   }
 }
@@ -84,13 +84,13 @@ Milliwatts FaultModel::true_rss(Milliwatts nominal, int client) const {
 }
 
 void FaultModel::advance_epoch() {
-  for (auto& track : tracks_) (void)track.step(rng_);
+  for (auto& track : tracks_) (void)track.step(rng());
 }
 
 bool FaultModel::should_fail_decode(const Frame& frame, bool sic_path) {
   if (!sic_path || frame.type != FrameType::kData) return false;
   if (config_.cancellation_failure_prob <= 0.0) return false;
-  if (!rng_.chance(config_.cancellation_failure_prob)) return false;
+  if (!rng().chance(config_.cancellation_failure_prob)) return false;
   injected_.push_back(frame.id);
   ++injected_count_;
   return true;
@@ -103,7 +103,7 @@ bool FaultModel::was_injected(std::uint64_t frame_id) const {
 
 bool FaultModel::ack_lost() {
   if (config_.ack_loss_prob <= 0.0) return false;
-  return rng_.chance(config_.ack_loss_prob);
+  return rng().chance(config_.ack_loss_prob);
 }
 
 }  // namespace sic::mac

@@ -25,6 +25,7 @@
 /// run.
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -91,7 +92,10 @@ struct FaultConfig {
 class FaultModel {
  public:
   /// Validates \p config (FaultConfigError on malformed knobs) and seeds
-  /// the per-client AR(1) tracks when channel faults are enabled.
+  /// the per-client AR(1) tracks when channel faults are enabled. The
+  /// model reads \p config in place, so it must outlive the model. The
+  /// Rng(seed) stream is seeded at the first draw: an inert config never
+  /// pays for it.
   FaultModel(const FaultConfig& config, int n_clients, std::uint64_t seed);
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
@@ -128,8 +132,15 @@ class FaultModel {
   [[nodiscard]] std::uint64_t injected_count() const { return injected_count_; }
 
  private:
-  FaultConfig config_;
-  Rng rng_;
+  /// Rng(seed_), seeded on first use.
+  Rng& rng() {
+    if (!rng_) rng_.emplace(seed_);
+    return *rng_;
+  }
+
+  const FaultConfig& config_;
+  std::uint64_t seed_;
+  std::optional<Rng> rng_;
   std::vector<channel::Ar1ShadowingTrack> tracks_;
   /// Frame ids injected since the last clear — at most a slot's frames.
   std::vector<std::uint64_t> injected_;

@@ -7,10 +7,13 @@
 /// simulator's backoff) draws from an explicitly seeded Rng so that every
 /// experiment is reproducible from its printed seed.
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <utility>
 
 namespace sic {
 
@@ -36,10 +39,17 @@ class SplitMix64 {
 /// first draw twists all of them: a few microseconds, more than a
 /// Monte Carlo trial's own math. But the standard fixes the algorithm, and
 /// draw k < 156 reads only the seeded words x[k], x[k+1] and x[k+156]. So
-/// the constructor runs the seeding recurrence for 156 + kPrefix steps and
-/// keeps the first kPrefix twisted words. A draw past them, or a call to
-/// full(), builds std::mt19937_64(seed) and discards the draws already
-/// served, so the stream continues unchanged.
+/// seeding runs the recurrence x[i] = f(x[i-1], i) only up to x[155] and
+/// keeps x[0..kPrefix] and x[155]. Draw k < kPrefix steps the recurrence
+/// once more, to x[156 + k], and twists it with x[k] and x[k+1]. A draw
+/// past the prefix, or a call to full(), builds std::mt19937_64(seed) and
+/// discards the draws already served, so the stream continues unchanged.
+///
+/// One engine's recurrence is a serial chain of multiplies, so seeding it
+/// waits on the multiplier's latency at every step. seed_batch() runs the
+/// chains of several engines interleaved, so the multiplies of independent
+/// lanes overlap. The seed constructor is its batch of one: there is one
+/// seeding routine, and every batched lane must equal it.
 class LazyMt19937_64 {
   using Mt = std::mt19937_64;
 
@@ -51,26 +61,58 @@ class LazyMt19937_64 {
   static constexpr std::size_t kPrefix = 16;
   static_assert(kPrefix <= Mt::shift_size);
 
-  explicit LazyMt19937_64(result_type seed) : seed_(seed) {
-    std::array<result_type, kPrefix + 1> head{};  // x[0..kPrefix]
-    result_type x = seed;
-    head[0] = x;
-    result_type i = 1;
-    for (; i <= kPrefix; ++i) head[i] = x = seed_word(x, i);
-    for (; i < Mt::shift_size; ++i) x = seed_word(x, i);
-    for (std::size_t k = 0; k < kPrefix; ++k, ++i) {
-      x = seed_word(x, i);  // x[k + 156]
-      const result_type y =
-          (head[k] & kUpperMask) | (head[k + 1] & kLowerMask);
-      twisted_[k] = x ^ (y >> 1) ^ ((y & 1) != 0 ? Mt::xor_mask : 0);
-    }
+  /// Engines Rng::for_each_at seeds together: enough independent chains
+  /// to keep the multiplier busy.
+  static constexpr std::size_t kBatch = 8;
+
+  /// What seeding keeps of one engine: the words its prefix draws read.
+  struct Seeded {
+    result_type seed;
+    std::array<result_type, kPrefix + 1> head;  ///< x[0..kPrefix]
+    result_type x155;                           ///< x[155]
+  };
+
+  /// Seeded{seeds[l], ...} for every lane l, with the B recurrences run
+  /// interleaved. Each lane step is a pack expansion, so the lanes stay in
+  /// registers rather than in a loop-carried array.
+  template <std::size_t B>
+  static std::array<Seeded, B> seed_batch(
+      const std::array<result_type, B>& seeds) {
+    std::array<Seeded, B> out{};
+    [&]<std::size_t... L>(std::index_sequence<L...>) {
+      std::array<result_type, B> x = seeds;
+      ((out[L].seed = out[L].head[0] = x[L]), ...);
+      result_type i = 1;
+      for (; i <= kPrefix; ++i) {
+        ((out[L].head[i] = x[L] = seed_word(x[L], i)), ...);
+      }
+      for (; i < Mt::shift_size; ++i) {  // up to x[155]
+        ((x[L] = seed_word(x[L], i)), ...);
+      }
+      ((out[L].x155 = x[L]), ...);
+    }(std::make_index_sequence<B>{});
+    return out;
   }
+
+  explicit LazyMt19937_64(result_type seed)
+      : LazyMt19937_64(seed_batch<1>({seed})[0]) {}
+
+  /// The engine seed_batch() seeded as \p seeded.
+  explicit LazyMt19937_64(const Seeded& seeded)
+      : seeded_(seeded), last_(seeded.x155) {}
 
   static constexpr result_type min() { return Mt::min(); }
   static constexpr result_type max() { return Mt::max(); }
 
   result_type operator()() {
-    if (served_ < kPrefix) [[likely]] return temper(twisted_[served_++]);
+    if (served_ < kPrefix) [[likely]] {
+      const std::size_t k = served_++;
+      last_ = seed_word(last_, Mt::shift_size + k);  // x[156 + k]
+      const result_type y = (seeded_.head[k] & kUpperMask) |
+                            (seeded_.head[k + 1] & kLowerMask);
+      return temper(last_ ^ (y >> 1) ^
+                    ((y & 1) != 0 ? Mt::xor_mask : 0));
+    }
     return full()();
   }
 
@@ -78,7 +120,7 @@ class LazyMt19937_64 {
   /// far; every later draw comes from it.
   Mt& full() {
     if (!full_) [[unlikely]] {
-      full_.emplace(seed_);
+      full_.emplace(seeded_.seed);
       full_->discard(served_);
       served_ = kPrefix;
     }
@@ -104,9 +146,9 @@ class LazyMt19937_64 {
     return z ^ (z >> Mt::tempering_l);
   }
 
-  result_type seed_;
-  std::size_t served_ = 0;  ///< draws from twisted_; kPrefix once handed off
-  std::array<result_type, kPrefix> twisted_{};  ///< untempered draws 0..kPrefix-1
+  Seeded seeded_;
+  result_type last_;        ///< x[155 + served_] while in the prefix
+  std::size_t served_ = 0;  ///< prefix draws made; kPrefix once handed off
   std::optional<Mt> full_;
 };
 
@@ -164,7 +206,30 @@ class Rng {
   /// `seed ^ index`: for a fixed seed, distinct indices give distinct,
   /// well-scattered engine seeds.
   [[nodiscard]] static Rng at(std::uint64_t seed, std::uint64_t index) {
-    return Rng{SplitMix64{seed ^ index}.next()};
+    return Rng{stream_seed(seed, index)};
+  }
+
+  /// Calls f(rng, i) with rng = at(seed, i) for every i in [begin, end),
+  /// in index order. The streams are seeded LazyMt19937_64::kBatch at a
+  /// time (LazyMt19937_64::seed_batch), several times cheaper than one
+  /// at() per index; each still equals at(seed, i) draw for draw, engine()
+  /// hand-off included.
+  template <typename F>
+  static void for_each_at(std::uint64_t seed, std::uint64_t begin,
+                          std::uint64_t end, F&& f) {
+    constexpr std::size_t kBatch = LazyMt19937_64::kBatch;
+    for (std::uint64_t first = begin; first < end; first += kBatch) {
+      std::array<LazyMt19937_64::result_type, kBatch> seeds{};
+      for (std::size_t l = 0; l < kBatch; ++l) {
+        seeds[l] = scramble(stream_seed(seed, first + l));
+      }
+      const auto seeded = LazyMt19937_64::seed_batch(seeds);
+      const std::uint64_t lanes = std::min<std::uint64_t>(kBatch, end - first);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        Rng rng{seeded[l]};
+        f(rng, first + l);
+      }
+    }
   }
 
   /// Exposes the underlying engine for use with std:: algorithms
@@ -173,10 +238,17 @@ class Rng {
   [[nodiscard]] std::mt19937_64& engine() { return engine_.full(); }
 
  private:
+  explicit Rng(const LazyMt19937_64::Seeded& seeded) : engine_(seeded) {}
+
   static std::uint64_t scramble(std::uint64_t seed) {
     // Avoid the low-entropy-seed pathologies of mt19937_64 by passing the
     // user seed through SplitMix64 first.
     return SplitMix64{seed}.next();
+  }
+
+  /// The Rng seed of substream \p index under \p seed.
+  static std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t index) {
+    return SplitMix64{seed ^ index}.next();
   }
 
   LazyMt19937_64 engine_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "analysis/montecarlo.hpp"
@@ -50,6 +54,94 @@ TEST(ParallelSweep, RunnerMapTrialsMatchesDirectSubstreams) {
     Rng rng = Rng::at(77, static_cast<std::uint64_t>(t));
     EXPECT_DOUBLE_EQ(got[static_cast<std::size_t>(t)],
                      rng.uniform(0.0, 1.0));
+  }
+}
+
+/// One trial's stream folded into an exact value: an index-dependent
+/// number of draws, some past the lazy prefix, then every third trial
+/// hands off to engine().
+std::uint64_t stream_digest(Rng& rng, std::int64_t t) {
+  std::uint64_t h = static_cast<std::uint64_t>(t);
+  for (std::int64_t d = 0; d < t % 21; ++d) {
+    h = h * 31 + std::bit_cast<std::uint64_t>(rng.uniform(0.0, 1.0));
+  }
+  if (t % 3 == 0) h ^= rng.engine()();
+  return h;
+}
+
+/// stream_digest of every trial, one Rng::at per trial, in order.
+std::vector<std::uint64_t> sequential_digests(std::int64_t trials,
+                                              std::uint64_t seed) {
+  std::vector<std::uint64_t> out;
+  for (std::int64_t t = 0; t < trials; ++t) {
+    Rng rng = Rng::at(seed, static_cast<std::uint64_t>(t));
+    out.push_back(stream_digest(rng, t));
+  }
+  return out;
+}
+
+TEST(ParallelSweep, MapTrialsIdenticalForEveryChunkSizeAndThreadCount) {
+  // Chunks of 1 and 3 cut the batched seeding at every offset.
+  const auto want = sequential_digests(333, 91);
+  for (const int chunk : {1, 3, 64}) {
+    for (const int threads : kThreadCounts) {
+      ParallelRunner runner{{.threads = threads, .chunk_trials = chunk}};
+      EXPECT_EQ(runner.map_trials<std::uint64_t>(333, 91, stream_digest), want)
+          << "chunk " << chunk << " threads " << threads;
+    }
+  }
+}
+
+TEST(ParallelSweep, SweepNestedOnTheCallingThreadReturnsSequentialResult) {
+  // While the outer sweep runs, its pool is busy. A body on the calling
+  // thread that starts a sweep of the same size must get a pool of its
+  // own, never the busy one.
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto inner_want = sequential_digests(50, 7);
+  int nested = 0;
+  // Workers hold their first trial until the calling thread has claimed
+  // one, so the nested case runs however the threads are scheduled.
+  std::atomic<bool> caller_claimed{false};
+  // Leave an idle pool of 4 on this thread's free list for the outer
+  // sweep to borrow: the case where a listed pool could be handed out
+  // twice.
+  { const ParallelRunner warm{{.threads = 4}}; }
+  ParallelRunner outer{{.threads = 4, .chunk_trials = 1}};
+  const auto got = outer.map_trials<std::uint64_t>(
+      64, 91, [&](Rng& rng, std::int64_t t) {
+        if (std::this_thread::get_id() != caller) {
+          while (!caller_claimed.load()) std::this_thread::yield();
+        } else {
+          caller_claimed = true;
+          ParallelRunner inner{{.threads = 4, .chunk_trials = 3}};
+          EXPECT_EQ(inner.map_trials<std::uint64_t>(50, 7, stream_digest),
+                    inner_want);
+          ++nested;
+        }
+        return stream_digest(rng, t);
+      });
+  EXPECT_EQ(got, sequential_digests(64, 91));
+  EXPECT_GT(nested, 0);
+}
+
+TEST(ParallelSweep, SweepAfterAThrowingSweepIsCorrect) {
+  const auto want = sequential_digests(200, 5);
+  const auto failing_body = [](Rng& rng, std::int64_t t) -> std::uint64_t {
+    if (t == 101) throw std::runtime_error{"trial failed"};
+    return stream_digest(rng, t);
+  };
+  for (const int threads : kThreadCounts) {
+    {
+      ParallelRunner runner{{.threads = threads, .chunk_trials = 3}};
+      EXPECT_THROW((void)runner.map_trials<std::uint64_t>(200, 5, failing_body),
+                   std::runtime_error);
+      EXPECT_EQ(runner.map_trials<std::uint64_t>(200, 5, stream_digest), want)
+          << "same runner, threads " << threads;
+    }
+    // A new runner borrows the pool the failed sweep ran on.
+    ParallelRunner next{{.threads = threads, .chunk_trials = 3}};
+    EXPECT_EQ(next.map_trials<std::uint64_t>(200, 5, stream_digest), want)
+        << "next runner, threads " << threads;
   }
 }
 

@@ -189,6 +189,53 @@ TEST(LazyMt19937_64, StandardCheckValue) {
   EXPECT_EQ(lazy(), 9981545732273789042ULL);
 }
 
+TEST(RngBatch, EveryLaneEqualsStdEngineDrawForDraw) {
+  // Every lane of every batch, through the prefix, past it (the hand-off)
+  // and past 312 draws. A lane seeded from another lane's seed, or a
+  // recurrence index off by one, breaks the first draws.
+  constexpr std::size_t kBatch = LazyMt19937_64::kBatch;
+  const std::vector<std::uint64_t> seeds = stream_seeds();
+  ASSERT_EQ(seeds.size() % kBatch, 0u);
+  for (std::size_t b = 0; b < seeds.size(); b += kBatch) {
+    std::array<std::uint64_t, kBatch> batch{};
+    std::copy_n(seeds.begin() + static_cast<std::ptrdiff_t>(b), kBatch,
+                batch.begin());
+    const auto seeded = LazyMt19937_64::seed_batch(batch);
+    for (std::size_t l = 0; l < kBatch; ++l) {
+      LazyMt19937_64 lane{seeded[l]};
+      std::mt19937_64 ref{batch[l]};
+      for (int i = 0; i < 700; ++i) {
+        ASSERT_EQ(lane(), ref())
+            << "seed " << batch[l] << " lane " << l << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngBatch, ForEachAtEqualsAtOnEveryRange) {
+  // Empty ranges, ranges shorter than a batch, one batch, one past it and
+  // several with a tail, all starting off the batch grid. Each lane draws
+  // an index-dependent count, then hands off to engine(), so some lanes
+  // hand off inside the prefix and others past it.
+  for (const std::uint64_t count : {0, 1, 7, 8, 9, 17, 65}) {
+    for (const std::uint64_t begin : {3ull, 13ull, 1'000'005ull}) {
+      std::uint64_t next = begin;
+      Rng::for_each_at(42, begin, begin + count,
+                       [&](Rng& rng, std::uint64_t i) {
+                         ASSERT_EQ(i, next++);
+                         Rng ref = Rng::at(42, i);
+                         for (std::uint64_t d = 0; d < i % (kPrefix + 4); ++d) {
+                           ASSERT_EQ(unit_bits(rng), unit_bits(ref))
+                               << "index " << i << " draw " << d;
+                         }
+                         ASSERT_EQ(rng.engine(), ref.engine()) << "index " << i;
+                         EXPECT_EQ(unit_bits(rng), unit_bits(ref));
+                       });
+      EXPECT_EQ(next, begin + count) << "begin " << begin;
+    }
+  }
+}
+
 TEST(Rng, DistributionsMatchStdEngineDrawForDraw) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const std::uint64_t seed : stream_seeds()) {

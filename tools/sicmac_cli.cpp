@@ -13,6 +13,7 @@
 ///   sicmac simulate --clients 24,18,12,9 [--stale-sigma dB] [--cancel-prob p]
 ///   sicmac deploy --aps 4 --clients 24 --chaos-profile default [--threads N]
 ///   sicmac report [--trials N] [--seed S]      # markdown repro summary
+///   sicmac [<command>] --help                  # usage, runs nothing
 ///
 /// All SNRs in dB over a unit noise floor; rates on a 20 MHz channel.
 ///
@@ -709,7 +710,7 @@ int cmd_report(const ArgParser& args) {
   return 0;
 }
 
-int usage() {
+void print_usage() {
   std::printf(
       "sicmac — SIC MAC-layer analysis toolkit\n"
       "global flags: [--metrics-out m.json] [--trace-out t.jsonl]\n"
@@ -745,7 +746,6 @@ int usage() {
       "  report      [--trials N] [--seed S]\n"
       "exit codes: 0 ok, 1 internal, 2 usage, 3 file I/O, 4 trace format,\n"
       "            5 deployment invariant violated, 6 matching infeasible\n");
-  return 2;
 }
 
 }  // namespace
@@ -753,6 +753,10 @@ int usage() {
 int main(int argc, char** argv) {
   try {
     const ArgParser args{argc, argv};
+    if (args.has("help")) {
+      print_usage();
+      return 0;
+    }
     const std::string& cmd = args.command();
 
     // Global observability flags — parsed before dispatch so every command
@@ -808,7 +812,8 @@ int main(int argc, char** argv) {
     } else if (cmd == "report") {
       rc = cmd_report(args);
     } else {
-      return usage();
+      print_usage();
+      return 2;
     }
     if (sink) {
       obs::set_trace(nullptr);
