@@ -16,19 +16,19 @@
 ///                               scalar dB-domain lookup (one log10 each)
 ///
 /// Both sides of every ratio run on the same thread count (a pool of 1),
-/// so the speedups are algorithmic, not parallelism in disguise.
+/// so the speedups are algorithmic, not parallelism in disguise. The
+/// summary line comes from perf_util.hpp's run_perf_main, like the other
+/// google-benchmark binaries'.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "channel/pathloss.hpp"
 #include "mac/association.hpp"
 #include "mac/deployment_engine.hpp"
+#include "perf_util.hpp"
 #include "phy/rate_adapter.hpp"
 #include "topology/geometry.hpp"
 #include "util/rng.hpp"
@@ -238,45 +238,14 @@ BENCHMARK(BM_DeploymentEpoch)
 // Summary measurements behind the one-line JSON (bench-gate pins).
 // ---------------------------------------------------------------------------
 
-/// Iterations/second of \p run: one warm-up call, then at least
-/// \p min_iters timed iterations and \p min_elapsed seconds of wall clock.
-template <typename F>
-double samples_per_sec(F&& run, int min_iters = 3,
-                       double min_elapsed = 0.25) {
-  using clock = std::chrono::steady_clock;
-  run();
-  const auto start = clock::now();
-  int iters = 0;
-  double elapsed = 0.0;
-  do {
-    run();
-    ++iters;
-    elapsed = std::chrono::duration<double>(clock::now() - start).count();
-  } while (iters < min_iters || elapsed < min_elapsed);
-  return static_cast<double>(iters) / elapsed;
-}
+/// The association A/B at 100k clients × 1024 APs, the acceptance scale.
+struct AssocAb {
+  double grid_pps = 0.0;   ///< grid plans per second
+  double brute_pps = 0.0;  ///< brute-force plans per second
+  double candidates_per_client = 0.0;
+};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Accept (and drop) the repo-wide `--threads N` flag like the other perf
-  // binaries (see perf_util.hpp); both sides of every speedup here run on
-  // a pool of 1 so the ratios stay algorithmic.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 < argc && argv[i + 1][0] != '-') ++i;
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t n_run = benchmark::RunSpecifiedBenchmarks();
-
-  // Headline A/B at 100k clients × 1024 APs — the acceptance scale.
+AssocAb measure_assoc_ab() {
   const AssocInstance ins = make_instance(100000, 1024, 42);
   const channel::LogDistancePathLoss pathloss =
       channel::LogDistancePathLoss::for_carrier(3.0);
@@ -284,45 +253,52 @@ int main(int argc, char** argv) {
                                         Decibels{0.5}};
   ThreadPool pool{1};
   std::vector<mac::AssociationProposal> out;
-  const double grid_pps = samples_per_sec([&] {
+  AssocAb ab;
+  ab.grid_pps = bench::samples_per_sec([&] {
     run_plan(planner, mac::AssociationMode::kGrid, ins, pool, out);
     benchmark::DoNotOptimize(out.data());
   });
   std::uint64_t cand_sum = 0;
   for (const mac::AssociationProposal& p : out) cand_sum += p.candidates;
-  const double cand_per_client =
+  ab.candidates_per_client =
       static_cast<double>(cand_sum) / static_cast<double>(out.size());
   // The brute reference costs ~100M score evaluations per pass; one
   // warm-up plus one timed pass keeps the binary's wall clock sane.
-  const double brute_pps = samples_per_sec(
+  ab.brute_pps = bench::samples_per_sec(
       [&] {
         run_plan(planner, mac::AssociationMode::kBruteForce, ins, pool, out);
         benchmark::DoNotOptimize(out.data());
       },
       /*min_iters=*/1, /*min_elapsed=*/0.0);
+  return ab;
+}
 
-  // Engine epochs at 10k clients × 256 APs (steady state, drift only).
+/// Engine epochs per second at 10k clients × 256 APs (steady state, drift
+/// only).
+double measure_epoch_per_sec() {
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
   auto engine = make_engine(10000, 256, shannon);
-  const double epoch_pps = samples_per_sec([&] {
+  return bench::samples_per_sec([&] {
     benchmark::DoNotOptimize(engine->run_epoch().offered);
   });
+}
 
-  // Batched discrete rate lanes vs the scalar dB-domain lookup at n = 256
-  // (dot11n, the widest ladder). Each sample is 1000 spans so the clock
-  // reads milliseconds.
+/// Batched discrete rate lanes vs the scalar dB-domain lookup at n = 256
+/// (dot11n, the widest ladder). Each sample is 1000 spans so the clock
+/// reads milliseconds.
+double measure_rate_span_speedup() {
   const phy::DiscreteRateAdapter dot11n{phy::RateTable::dot11n()};
   Rng rng{7};
   std::vector<double> sinrs;
   for (int i = 0; i < 256; ++i) sinrs.push_back(rng.uniform(-1.0, 3000.0));
   std::vector<BitsPerSecond> rates(sinrs.size());
-  const double span_sps = samples_per_sec([&] {
+  const double span_sps = bench::samples_per_sec([&] {
     for (int rep = 0; rep < 1000; ++rep) {
       dot11n.rate_span(sinrs, rates);
       benchmark::DoNotOptimize(rates.data());
     }
   });
-  const double scalar_sps = samples_per_sec([&] {
+  const double scalar_sps = bench::samples_per_sec([&] {
     for (int rep = 0; rep < 1000; ++rep) {
       for (std::size_t i = 0; i < sinrs.size(); ++i) {
         rates[i] = db_domain_rate(dot11n.table(), sinrs[i]);
@@ -330,23 +306,29 @@ int main(int argc, char** argv) {
       benchmark::DoNotOptimize(rates.data());
     }
   });
+  return scalar_sps > 0.0 ? span_sps / scalar_sps : 0.0;
+}
 
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  const double throughput =
-      wall_ms > 0.0 ? 1e3 * static_cast<double>(n_run) / wall_ms : 0.0;
-  std::printf(
-      "{\"bench\":\"perf_deployment\",\"wall_ms\":%.1f,\"throughput\":%.3f,"
-      "\"assoc_clients_per_sec\":%.0f,"
-      "\"assoc_brute_clients_per_sec\":%.0f,"
-      "\"assoc_speedup_100kx1024\":%.2f,"
-      "\"assoc_candidates_per_client\":%.2f,"
-      "\"epoch_per_sec\":%.3f,"
-      "\"rate_span_speedup_n256\":%.2f}\n",
-      wall_ms, throughput, grid_pps * 100000.0, brute_pps * 100000.0,
-      brute_pps > 0.0 ? grid_pps / brute_pps : 0.0, cand_per_client,
-      epoch_pps, scalar_sps > 0.0 ? span_sps / scalar_sps : 0.0);
-  benchmark::Shutdown();
-  return 0;
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The A/B runs once, in the first key; the next three report its parts.
+  AssocAb ab;
+  return sic::bench::run_perf_main(
+      "perf_deployment", argc, argv,
+      {{"assoc_clients_per_sec",
+        [&ab] {
+          ab = measure_assoc_ab();
+          return ab.grid_pps * 100000.0;
+        }},
+       {"assoc_brute_clients_per_sec",
+        [&ab] { return ab.brute_pps * 100000.0; }},
+       {"assoc_speedup_100kx1024",
+        [&ab] {
+          return ab.brute_pps > 0.0 ? ab.grid_pps / ab.brute_pps : 0.0;
+        }},
+       {"assoc_candidates_per_client",
+        [&ab] { return ab.candidates_per_client; }},
+       {"epoch_per_sec", measure_epoch_per_sec},
+       {"rate_span_speedup_n256", measure_rate_span_speedup}});
 }

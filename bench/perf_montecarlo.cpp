@@ -3,15 +3,17 @@
 /// and prints one JSON line per (sweep, threads):
 ///
 ///   {"bench":"perf_montecarlo","sweep":"two_link_gains","threads":4,
-///    "trials":20000,"wall_ms":412.0,"samples_per_sec":48543.7,
+///    "trials":20000,"runs":5,"wall_ms":82.4,"samples_per_sec":242718.4,
 ///    "speedup_vs_1":3.41,"identical_to_first":true}
 ///
-/// so CI can assert both the speedup and the bit-identity of the samples
-/// across thread counts (speedup and identity are against the first entry
-/// of --threads-list). download_trace stays the last sweep: CI gates its
+/// Each line times at least kMinRuns runs and kMinTimedS of work, and
+/// reports the median run (wall_ms) and its rate, so CI can assert both
+/// the speedup and the bit-identity of every run's samples across thread
+/// counts (speedup and identity are against the first entry of
+/// --threads-list). download_trace stays the last sweep: CI gates its
 /// line, which also carries rng_streams_per_sec, the per-trial stream
 /// cost (see rng_streams_per_sec() below). Flags: --trials N,
-/// --threads-list a,b,c.
+/// --threads-list a,b,c (each at most 256).
 
 #include <algorithm>
 #include <cstdint>
@@ -35,6 +37,12 @@ struct Sweep {
   std::int64_t samples;  ///< samples produced per run (for the rate)
   std::function<std::vector<double>(int threads)> run;
 };
+
+/// Every (sweep, threads) line times at least this many runs and this
+/// much work, so a sweep that takes under a millisecond still reads a
+/// stable median.
+constexpr int kMinRuns = 5;
+constexpr double kMinTimedS = 0.05;
 
 /// Trial streams per second through map_trials' seeding path at one
 /// thread, each making 4 uniform draws (a Fig. 6 trial's count): what a
@@ -60,10 +68,7 @@ double rng_streams_per_sec() {
 int run(int argc, char** argv) {
   const ArgParser args{argc, argv};
   const int trials = args.get_int("trials", 20000);
-  std::vector<int> thread_counts;
-  for (const double t : args.get_double_list("threads-list")) {
-    thread_counts.push_back(static_cast<int>(t));
-  }
+  std::vector<int> thread_counts = args.get_threads_list("threads-list");
   if (thread_counts.empty()) thread_counts = {1, 2, 4};
 
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
@@ -114,22 +119,27 @@ int run(int argc, char** argv) {
     double baseline_rate = 0.0;
     for (std::size_t k = 0; k < thread_counts.size(); ++k) {
       const int threads = thread_counts[k];
-      const bench::RunTimer timer;
-      const auto samples = sweep.run(threads);
-      const double wall_ms = 1e3 * timer.elapsed_s();
+      std::vector<double> walls_s;
+      double timed_s = 0.0;
+      bool identical = true;
+      while (static_cast<int>(walls_s.size()) < kMinRuns ||
+             timed_s < kMinTimedS) {
+        const bench::RunTimer timer;
+        const auto samples = sweep.run(threads);
+        walls_s.push_back(timer.elapsed_s());
+        timed_s += walls_s.back();
+        if (baseline.empty()) {
+          baseline = samples;
+        } else {
+          identical = identical && samples == baseline;
+        }
+      }
+      std::sort(walls_s.begin(), walls_s.end());
+      const double wall_ms = 1e3 * walls_s[walls_s.size() / 2];
       const double rate =
           wall_ms > 0.0 ? 1e3 * static_cast<double>(sweep.samples) / wall_ms
                         : 0.0;
-      bool identical = true;
-      if (baseline.empty()) {
-        baseline = samples;
-        baseline_rate = rate;
-      } else {
-        identical = samples.size() == baseline.size();
-        for (std::size_t i = 0; identical && i < samples.size(); ++i) {
-          identical = samples[i] == baseline[i];
-        }
-      }
+      if (k == 0) baseline_rate = rate;
       const double speedup = baseline_rate > 0.0 ? rate / baseline_rate : 0.0;
       char last_line_keys[64] = "";
       if (&sweep == &sweeps.back() && k + 1 == thread_counts.size()) {
@@ -138,11 +148,12 @@ int run(int argc, char** argv) {
       }
       std::printf(
           "{\"bench\":\"perf_montecarlo\",\"sweep\":\"%s\",\"threads\":%d,"
-          "\"trials\":%lld,\"wall_ms\":%.1f,\"samples_per_sec\":%.1f,"
-          "\"speedup_vs_%d\":%.2f,\"identical_to_first\":%s%s}\n",
-          sweep.name, threads, static_cast<long long>(sweep.samples), wall_ms,
-          rate, thread_counts.front(), speedup, identical ? "true" : "false",
-          last_line_keys);
+          "\"trials\":%lld,\"runs\":%zu,\"wall_ms\":%.3f,"
+          "\"samples_per_sec\":%.1f,\"speedup_vs_%d\":%.2f,"
+          "\"identical_to_first\":%s%s}\n",
+          sweep.name, threads, static_cast<long long>(sweep.samples),
+          walls_s.size(), wall_ms, rate, thread_counts.front(), speedup,
+          identical ? "true" : "false", last_line_keys);
       if (!identical) return 1;  // determinism contract broken
     }
   }

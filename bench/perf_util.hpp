@@ -21,10 +21,11 @@
 
 namespace sic::bench {
 
-/// Iterations/second of \p run: one warm-up call, then at least 3 timed
-/// iterations and at least 0.25 s of wall clock.
+/// Iterations/second of \p run: one warm-up call, then at least
+/// \p min_iters timed iterations and \p min_elapsed seconds of wall clock.
 template <typename F>
-double samples_per_sec(F&& run) {
+double samples_per_sec(F&& run, int min_iters = 3,
+                       double min_elapsed = 0.25) {
   using clock = std::chrono::steady_clock;
   run();
   const auto start = clock::now();
@@ -34,7 +35,7 @@ double samples_per_sec(F&& run) {
     run();
     ++iters;
     elapsed = std::chrono::duration<double>(clock::now() - start).count();
-  } while (iters < 3 || elapsed < 0.25);
+  } while (iters < min_iters || elapsed < min_elapsed);
   return static_cast<double>(iters) / elapsed;
 }
 

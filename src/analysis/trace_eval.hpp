@@ -35,9 +35,10 @@ struct UploadTraceGains {
 
 struct UploadTraceEvalConfig {
   double packet_bits = 12000.0;
-  Dbm noise_floor{-94.0};
+  static constexpr Dbm noise_floor{-94.0};
   int min_clients = 2;
-  int max_clients = 30;  ///< safety cap per cell (O(n²) pair costs)
+  /// Safety cap per cell (O(n²) pair costs).
+  static constexpr int max_clients = 30;
   /// Worker threads for the (snapshot, AP) cell cross product (0 = all
   /// hardware threads). Results are bit-identical for any value — cells
   /// are evaluated index-addressed on the parallel engine.
@@ -65,7 +66,7 @@ struct DownloadTraceEvalConfig {
   /// only valid if both serving links actually work: the measured best-
   /// bitrate methodology presupposes a link sustaining the base rate. This
   /// floor (just above 802.11g's 6 Mbps threshold) encodes that.
-  Decibels min_link_snr{6.5};
+  static constexpr Decibels min_link_snr{6.5};
   std::uint64_t seed = 7;
   /// Worker threads for the scenario sweep (0 = all hardware threads).
   /// Each scenario draws from the counter-based substream

@@ -91,7 +91,6 @@ EnterpriseAssignment schedule_enterprise_upload(
     std::span<const EnterpriseClient> clients, int n_aps,
     const phy::RateAdapter& adapter, const EnterpriseOptions& options) {
   SIC_CHECK(n_aps >= 1);
-  SIC_CHECK(options.max_passes >= 0);
   std::vector<int> assignment = strongest_ap(clients, n_aps);
   auto best = evaluate_assignment(clients, n_aps, assignment, adapter, options);
 

@@ -39,7 +39,7 @@ struct EnterpriseOptions {
   SchedulerOptions cell;  ///< per-cell SIC scheduling options
   ChannelModel channel_model = ChannelModel::kOrthogonal;
   /// Local-search budget: full passes over all (client, AP) moves.
-  int max_passes = 16;
+  static constexpr int max_passes = 16;
   Milliwatts noise{1.0};
 };
 

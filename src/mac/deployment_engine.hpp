@@ -121,18 +121,19 @@ struct DeploymentEngineConfig {
   bool closed_loop = true;
 
   // Radio geometry: log-distance path loss from client positions.
-  double pathloss_exponent = 3.0;
-  Dbm client_tx_power{15.0};
-  Dbm noise_floor{-94.0};
+  static constexpr double pathloss_exponent = 3.0;
+  static constexpr Dbm client_tx_power{15.0};
+  static constexpr Dbm noise_floor{-94.0};
 
   /// Epoch-scale AR(1) channel drift per client (slow shadowing across
   /// epochs, distinct from upload.faults.stale_rss_sigma which drifts
   /// *within* a run). 0 dB disables the stream entirely.
   Decibels epoch_drift_sigma{0.0};
-  double epoch_drift_rho = 0.9;
+  static constexpr double epoch_drift_rho = 0.9;
 
   // Association / handoff.
-  Decibels handoff_hysteresis{4.0};  ///< candidate must win by this much
+  /// A candidate must beat the incumbent by this much.
+  static constexpr Decibels handoff_hysteresis{4.0};
   Decibels load_penalty_per_client{0.5};  ///< effective dB per member
   /// Candidate enumeration for the association pass: kGrid walks the
   /// spatial AP index with an exact cutoff (the large-deployment fast
@@ -146,7 +147,8 @@ struct DeploymentEngineConfig {
   int quarantine_base_epochs = 2;  ///< backoff: base · 2^(times - 1)
 
   // Per-AP degradation ladder + watchdog (closed loop only).
-  double unhealthy_below = 0.90;  ///< epoch confirmation rate threshold
+  /// Epoch confirmation rate below which an AP steps down the ladder.
+  static constexpr double unhealthy_below = 0.90;
   int ladder_recover_epochs = 3;  ///< healthy streak to step back up
   int watchdog_epochs = 3;  ///< all-fail epochs before forcing re-match
 

@@ -92,7 +92,6 @@ bool FaultModel::should_fail_decode(const Frame& frame, bool sic_path) {
   if (config_.cancellation_failure_prob <= 0.0) return false;
   if (!rng().chance(config_.cancellation_failure_prob)) return false;
   injected_.push_back(frame.id);
-  ++injected_count_;
   return true;
 }
 

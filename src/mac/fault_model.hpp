@@ -129,8 +129,6 @@ class FaultModel {
   /// Rolls ACK loss for one delivered frame.
   [[nodiscard]] bool ack_lost();
 
-  [[nodiscard]] std::uint64_t injected_count() const { return injected_count_; }
-
  private:
   /// Rng(seed_), seeded on first use.
   Rng& rng() {
@@ -144,7 +142,6 @@ class FaultModel {
   std::vector<channel::Ar1ShadowingTrack> tracks_;
   /// Frame ids injected since the last clear — at most a slot's frames.
   std::vector<std::uint64_t> injected_;
-  std::uint64_t injected_count_ = 0;
 };
 
 }  // namespace sic::mac

@@ -32,12 +32,6 @@ void Medium::set_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss) {
   gains_[static_cast<std::size_t>(rx) * n_nodes_ + tx] = rss;
 }
 
-void Medium::set_directional_gain(MacNodeId tx, MacNodeId rx,
-                                  Milliwatts rss) {
-  SIC_CHECK(tx >= 0 && tx < n_nodes_ && rx >= 0 && rx < n_nodes_ && tx != rx);
-  gains_[static_cast<std::size_t>(tx) * n_nodes_ + rx] = rss;
-}
-
 void Medium::fill_gains(Milliwatts rss) {
   std::fill(gains_.begin(), gains_.end(), rss);
   for (int n = 0; n < n_nodes_; ++n) {

@@ -72,8 +72,6 @@ class Medium {
   /// alike; override the exceptions with set_gain afterwards.
   void fill_gains(Milliwatts rss);
 
-  /// One-directional gain, for nodes with asymmetric transmit powers.
-  void set_directional_gain(MacNodeId tx, MacNodeId rx, Milliwatts rss);
   [[nodiscard]] Milliwatts gain(MacNodeId tx, MacNodeId rx) const;
   [[nodiscard]] Milliwatts noise() const { return noise_; }
   [[nodiscard]] int n_nodes() const { return n_nodes_; }
@@ -121,7 +119,6 @@ class Medium {
 
   [[nodiscard]] const MediumStats& stats() const { return stats_; }
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
-  PhyParams& mutable_phy() { return phy_; }
 
  private:
   struct Transmission {

@@ -51,7 +51,7 @@ struct RecoveryConfig {
   /// Extra attenuation shaved off a client's rate-selection SNR per prior
   /// failure — classic rate fallback, which guarantees convergence once
   /// the backoff overtakes the estimation error.
-  Decibels retry_backoff{3.0};
+  static constexpr Decibels retry_backoff{3.0};
   /// Upper bound on re-estimation + re-matching rounds after the planned
   /// schedule; survivors past the last round are dropped as unrecovered.
   int max_rematch_rounds = 32;

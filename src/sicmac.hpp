@@ -31,7 +31,6 @@
 
 #include "channel/fading.hpp"        // IWYU pragma: export
 #include "channel/link.hpp"          // IWYU pragma: export
-#include "channel/noise.hpp"         // IWYU pragma: export
 #include "channel/pathloss.hpp"      // IWYU pragma: export
 #include "channel/shadowing.hpp"     // IWYU pragma: export
 #include "channel/two_link_rss.hpp"  // IWYU pragma: export
@@ -52,7 +51,6 @@
 #include "core/enterprise.hpp"      // IWYU pragma: export
 #include "core/mesh.hpp"            // IWYU pragma: export
 #include "core/multirate.hpp"       // IWYU pragma: export
-#include "core/packet_sizing.hpp"   // IWYU pragma: export
 #include "core/packing.hpp"         // IWYU pragma: export
 #include "core/power_control.hpp"   // IWYU pragma: export
 #include "core/scheduler.hpp"       // IWYU pragma: export
@@ -62,7 +60,6 @@
 #include "mac/access_point.hpp"        // IWYU pragma: export
 #include "mac/chaos.hpp"               // IWYU pragma: export
 #include "mac/deployment_engine.hpp"   // IWYU pragma: export
-#include "mac/deployment_medium.hpp"   // IWYU pragma: export
 #include "mac/event_queue.hpp"   // IWYU pragma: export
 #include "mac/medium.hpp"        // IWYU pragma: export
 #include "mac/station.hpp"       // IWYU pragma: export
@@ -72,7 +69,6 @@
 #include "trace/io.hpp"          // IWYU pragma: export
 #include "trace/link_trace.hpp"  // IWYU pragma: export
 #include "trace/snapshot.hpp"    // IWYU pragma: export
-#include "trace/stats.hpp"       // IWYU pragma: export
 
 #include "analysis/grid.hpp"        // IWYU pragma: export
 #include "analysis/montecarlo.hpp"  // IWYU pragma: export

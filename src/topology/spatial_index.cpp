@@ -4,23 +4,8 @@
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/mathx.hpp"
 
 namespace sic::topology {
-
-namespace {
-
-/// Sort key for k_nearest: (distance, id), distance computed with the
-/// same function the callers use so boundary semantics line up exactly.
-struct Near {
-  double dist;
-  int id;
-  friend bool operator<(const Near& a, const Near& b) {
-    return a.dist < b.dist || (bitwise_equal(a.dist, b.dist) && a.id < b.id);
-  }
-};
-
-}  // namespace
 
 SpatialGridIndex::SpatialGridIndex(std::span<const Point> points,
                                    double cell_size_m)
@@ -120,59 +105,6 @@ void SpatialGridIndex::collect_ring(Point query, int ring,
     take_cell(cx + ring, y);
   }
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(before), out.end());
-}
-
-void SpatialGridIndex::k_nearest(Point query, int k,
-                                 std::vector<int>& out) const {
-  out.clear();
-  if (points_.empty() || k <= 0) return;
-  std::vector<Near> found;
-  std::vector<int> ring_ids;
-  const int last_ring = max_ring(query);
-  for (int ring = 0; ring <= last_ring; ++ring) {
-    // Enough candidates, and every unvisited ring is provably farther
-    // than the current k-th best: done.
-    if (static_cast<int>(found.size()) >= k) {
-      std::nth_element(found.begin(),
-                       found.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                       found.end());
-      if (ring_lower_bound_m(ring) >
-          found[static_cast<std::size_t>(k - 1)].dist) {
-        break;
-      }
-    }
-    ring_ids.clear();
-    collect_ring(query, ring, ring_ids);
-    for (const int id : ring_ids) {
-      found.push_back(
-          Near{distance(query, points_[static_cast<std::size_t>(id)]), id});
-    }
-  }
-  std::sort(found.begin(), found.end());
-  const std::size_t take =
-      std::min(found.size(), static_cast<std::size_t>(k));
-  out.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) out.push_back(found[i].id);
-}
-
-void SpatialGridIndex::within_radius(Point query, double radius_m,
-                                     std::vector<int>& out) const {
-  out.clear();
-  if (points_.empty() || radius_m < 0.0) return;
-  std::vector<int> ring_ids;
-  const int last_ring = max_ring(query);
-  for (int ring = 0; ring <= last_ring; ++ring) {
-    if (ring_lower_bound_m(ring) > radius_m) break;
-    ring_ids.clear();
-    collect_ring(query, ring, ring_ids);
-    for (const int id : ring_ids) {
-      if (distance(query, points_[static_cast<std::size_t>(id)]) <=
-          radius_m) {
-        out.push_back(id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
 }
 
 }  // namespace sic::topology

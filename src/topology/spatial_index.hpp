@@ -13,9 +13,7 @@
 /// Determinism is by construction, not by convention: the index stores
 /// ids in flat CSR arrays (no unordered containers anywhere — sic_lint R3
 /// stays hot on this file on purpose), cells are iterated in canonical
-/// row-major order, every query output is sorted by a total order
-/// ((distance, id) for k_nearest, ascending id for within_radius and
-/// collect_ring), and ties always resolve toward the lower id. Two
+/// row-major order, and every ring comes back in ascending id order. Two
 /// queries with the same inputs return byte-identical answers on every
 /// thread of every run.
 
@@ -61,15 +59,6 @@ class SpatialGridIndex {
   /// home cell), in ascending id order. Appends nothing when the ring
   /// holds no points.
   void collect_ring(Point query, int ring, std::vector<int>& out) const;
-
-  /// The k nearest points to \p query, ordered by (distance, id) with
-  /// ties toward the lower id. Returns all points when k >= size().
-  void k_nearest(Point query, int k, std::vector<int>& out) const;
-
-  /// All points within \p radius_m of \p query (inclusive boundary, same
-  /// distance function as topology::distance), ascending id order.
-  void within_radius(Point query, double radius_m,
-                     std::vector<int>& out) const;
 
  private:
   [[nodiscard]] int cell_x(double x) const;

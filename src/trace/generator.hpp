@@ -24,19 +24,20 @@
 namespace sic::trace {
 
 struct BuildingConfig {
-  int ap_grid_x = 3;                ///< APs per row
-  int ap_grid_y = 2;                ///< AP rows
-  double ap_spacing_m = 30.0;
-  double floor_margin_m = 10.0;     ///< clients may roam this far past APs
-  int client_population = 40;
+  static constexpr int ap_grid_x = 3;  ///< APs per row
+  static constexpr int ap_grid_y = 2;  ///< AP rows
+  static constexpr double ap_spacing_m = 30.0;
+  /// Clients may roam this far past the outermost APs.
+  static constexpr double floor_margin_m = 10.0;
+  static constexpr int client_population = 40;
   double presence_probability = 0.6;
-  double roam_radius_m = 8.0;       ///< per-snapshot jitter around home
-  double pathloss_exponent = 3.5;
+  static constexpr double roam_radius_m = 8.0;  ///< per-snapshot jitter
+  static constexpr double pathloss_exponent = 3.5;
   Decibels shadowing_sigma{6.0};
-  Dbm client_tx_power{18.0};
-  Dbm association_floor{-85.0};  ///< weaker clients are not heard
+  static constexpr Dbm client_tx_power{18.0};
+  static constexpr Dbm association_floor{-85.0};  ///< weaker: not heard
 
-  int snapshot_period_s = 900;      ///< 15 minutes, as in the paper
+  static constexpr int snapshot_period_s = 900;  ///< 15 min, as in the paper
   int duration_s = 14 * 24 * 3600;  ///< two weeks, as in the paper
 
   /// Office-building diurnal load: when true, the presence probability is

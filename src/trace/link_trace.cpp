@@ -57,7 +57,6 @@ channel::TwoLinkRss LinkTrace::two_link_rss(int ap1, int loc1, int ap2,
 
 LinkTrace generate_link_trace(const LinkTraceConfig& config,
                               std::uint64_t seed) {
-  SIC_CHECK(config.n_aps >= 2 && config.n_client_locations >= 2);
   Rng rng{seed};
   LinkTrace trace{config.n_aps, config.n_client_locations};
 

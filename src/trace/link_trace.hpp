@@ -20,20 +20,21 @@
 namespace sic::trace {
 
 struct LinkTraceConfig {
-  int n_aps = 5;
-  int n_client_locations = 100;
-  double ap_spacing_m = 35.0;      ///< APs along a corridor
-  double room_depth_m = 12.0;      ///< client offset range from the corridor
+  static constexpr int n_aps = 5;
+  static constexpr int n_client_locations = 100;
+  static constexpr double ap_spacing_m = 35.0;  ///< APs along a corridor
+  /// Client offset range from the corridor.
+  static constexpr double room_depth_m = 12.0;
   /// Corridor-and-classroom propagation. The defaults put most serving
   /// links in the 20-45 dB SNR band the paper's campaign implies (every
   /// location sustains a measurable 802.11g rate from at least one AP),
   /// which is where the discrete-vs-Shannon contrast of Fig. 14 lives:
   /// saturated discrete rates shrug off moderate interference while the
   /// ideal rate degrades smoothly.
-  double pathloss_exponent = 3.0;
+  static constexpr double pathloss_exponent = 3.0;
   Decibels shadowing_sigma{5.0};
-  Dbm ap_tx_power{26.0};   ///< EIRP incl. antenna gain
-  Dbm noise_floor{-94.0};
+  static constexpr Dbm ap_tx_power{26.0};  ///< EIRP incl. antenna gain
+  static constexpr Dbm noise_floor{-94.0};
 };
 
 /// A dense matrix of per-(AP, location) clean SNRs.

@@ -53,6 +53,16 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
       parse_whole(flag, text, 0.0, std::ldexp(1.0, 64)));
 }
 
+/// A thread count in [0, kMaxThreads].
+int checked_threads(const std::string& flag, int threads) {
+  if (threads < 0 || threads > ArgParser::kMaxThreads) {
+    throw UsageError("flag --" + flag + ": must be in [0, " +
+                     std::to_string(ArgParser::kMaxThreads) +
+                     "] (0 = all hardware threads)");
+  }
+  return threads;
+}
+
 /// Each non-empty comma-separated piece of \p value, parsed by \p parse.
 template <typename T, typename Parse>
 std::vector<T> parse_list(const std::string& flag,
@@ -142,11 +152,14 @@ std::vector<int> ArgParser::get_int_list(const std::string& flag) const {
 }
 
 int ArgParser::get_threads(int fallback) const {
-  const int threads = get_int("threads", fallback);
-  if (threads < 0) {
-    throw UsageError("flag --threads: must be >= 0 (0 = all hardware threads)");
-  }
-  return threads;
+  return checked_threads("threads", get_int("threads", fallback));
+}
+
+std::vector<int> ArgParser::get_threads_list(const std::string& flag) const {
+  return parse_list<int>(flag, get(flag),
+                         [](const std::string& f, const std::string& text) {
+                           return checked_threads(f, parse_int(f, text));
+                         });
 }
 
 std::vector<std::string> ArgParser::unknown_flags() const {

@@ -47,11 +47,19 @@ class ArgParser {
   /// Comma-separated list of ints, e.g. --queues 4,2,8.
   [[nodiscard]] std::vector<int> get_int_list(const std::string& flag) const;
 
+  /// Largest thread count a flag accepts, so that a typo cannot ask the
+  /// OS for 100,000 threads.
+  static constexpr int kMaxThreads = 256;
+
   /// The global `--threads` convention shared by the CLI and the bench
   /// binaries: 0 means "all hardware threads", otherwise the total worker
-  /// count including the calling thread. Throws UsageError on negative
-  /// values. Parallel sweeps are bit-identical for any setting.
+  /// count including the calling thread. Throws UsageError on values
+  /// outside [0, kMaxThreads]. Parallel sweeps are bit-identical for any
+  /// setting.
   [[nodiscard]] int get_threads(int fallback = 1) const;
+  /// Comma-separated thread counts, each checked as get_threads does.
+  [[nodiscard]] std::vector<int> get_threads_list(
+      const std::string& flag) const;
 
   /// Flags present on the command line but never queried — typo detection.
   [[nodiscard]] std::vector<std::string> unknown_flags() const;

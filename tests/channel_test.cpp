@@ -3,28 +3,12 @@
 #include <cmath>
 
 #include "channel/link.hpp"
-#include "channel/noise.hpp"
 #include "channel/pathloss.hpp"
 #include "channel/shadowing.hpp"
 #include "channel/two_link_rss.hpp"
 
 namespace sic::channel {
 namespace {
-
-TEST(Noise, ThermalFloorAt20MhzIsAboutMinus94Dbm) {
-  const Dbm floor = thermal_noise_floor(megahertz(20.0));
-  EXPECT_NEAR(floor.value(), -94.0, 0.2);
-}
-
-TEST(Noise, ScalesWithBandwidth) {
-  const double f20 = thermal_noise_floor(megahertz(20.0)).value();
-  const double f40 = thermal_noise_floor(megahertz(40.0)).value();
-  EXPECT_NEAR(f40 - f20, 3.0103, 0.01);  // doubling bandwidth = +3 dB
-}
-
-TEST(Noise, DefaultFloorMatchesThermal) {
-  EXPECT_NEAR(Dbm::from_milliwatts(default_noise_floor()).value(), -94.0, 0.2);
-}
 
 TEST(LogDistancePathLoss, FreeSpaceReferenceAt24Ghz) {
   const auto model = LogDistancePathLoss::for_carrier(2.0);

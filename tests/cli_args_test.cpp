@@ -128,6 +128,18 @@ TEST(ArgParser, NegativeU64Rejected) {
   EXPECT_TRUE(rejects("seed", [&] { return p.get_u64("seed", 0); }));
 }
 
+TEST(ArgParser, ThreadCountsAboveTheCeilingRejected) {
+  EXPECT_EQ(parse({"x", "--threads", "256"}).get_threads(), 256);
+  EXPECT_EQ(parse({"x", "--threads", "0"}).get_threads(), 0);
+  const auto p = parse({"x", "--threads", "257", "--list", "1,100000",
+                        "--huge", "1e12"});
+  EXPECT_TRUE(rejects("threads", [&] { return p.get_threads(); }));
+  EXPECT_TRUE(rejects("list", [&] { return p.get_threads_list("list"); }));
+  EXPECT_TRUE(rejects("huge", [&] { return p.get_threads_list("huge"); }));
+  EXPECT_EQ(parse({"x", "--list", "1,4,256"}).get_threads_list("list"),
+            (std::vector<int>{1, 4, 256}));
+}
+
 TEST(ArgParser, UnknownFlagDetection) {
   const auto p = parse({"x", "--used", "1", "--typo", "2"});
   (void)p.get_double("used", 0.0);

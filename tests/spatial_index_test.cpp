@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -21,61 +22,27 @@ std::vector<Point> random_points(std::uint64_t seed, int n, double extent) {
   return pts;
 }
 
-/// Reference k-nearest: sort every point by (distance, id).
-std::vector<int> brute_k_nearest(const std::vector<Point>& pts, Point q,
-                                 int k) {
-  std::vector<int> ids(pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) ids[i] = static_cast<int>(i);
-  std::stable_sort(ids.begin(), ids.end(), [&](int a, int b) {
-    const double da = distance(q, pts[static_cast<std::size_t>(a)]);
-    const double db = distance(q, pts[static_cast<std::size_t>(b)]);
-    return da < db || (da == db && a < b);
-  });
-  ids.resize(std::min(ids.size(), static_cast<std::size_t>(k)));
-  return ids;
+/// The ring walk around \p q: the ids of ring r at index r.
+std::vector<std::vector<int>> ring_walk(const SpatialGridIndex& index,
+                                        Point q) {
+  std::vector<std::vector<int>> rings;
+  for (int ring = 0; ring <= index.max_ring(q); ++ring) {
+    rings.emplace_back();
+    index.collect_ring(q, ring, rings.back());
+  }
+  return rings;
 }
 
-std::vector<int> brute_within(const std::vector<Point>& pts, Point q,
-                              double r) {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (distance(q, pts[i]) <= r) out.push_back(static_cast<int>(i));
+/// The walk visits every id in [0, n) exactly once.
+void expect_covers_once(const std::vector<std::vector<int>>& rings, int n) {
+  std::vector<int> all;
+  for (const auto& ring : rings) {
+    all.insert(all.end(), ring.begin(), ring.end());
   }
-  return out;
-}
-
-TEST(SpatialGridIndex, KNearestMatchesBruteForceAcrossSeeds) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng{seed * 977};
-    const int n = rng.uniform_int(1, 64);
-    const std::vector<Point> pts = random_points(seed, n, 200.0);
-    const SpatialGridIndex index{pts};
-    std::vector<int> got;
-    for (int trial = 0; trial < 25; ++trial) {
-      const Point q{rng.uniform(-20.0, 220.0), rng.uniform(-20.0, 220.0)};
-      const int k = rng.uniform_int(1, n + 2);
-      index.k_nearest(q, k, got);
-      EXPECT_EQ(got, brute_k_nearest(pts, q, k))
-          << "seed " << seed << " trial " << trial << " k " << k;
-    }
-  }
-}
-
-TEST(SpatialGridIndex, WithinRadiusMatchesBruteForce) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng rng{seed * 1231};
-    const int n = rng.uniform_int(1, 64);
-    const std::vector<Point> pts = random_points(seed + 500, n, 150.0);
-    const SpatialGridIndex index{pts};
-    std::vector<int> got;
-    for (int trial = 0; trial < 25; ++trial) {
-      const Point q{rng.uniform(-10.0, 160.0), rng.uniform(-10.0, 160.0)};
-      const double r = rng.uniform(0.0, 120.0);
-      index.within_radius(q, r, got);
-      EXPECT_EQ(got, brute_within(pts, q, r))
-          << "seed " << seed << " trial " << trial << " r " << r;
-    }
-  }
+  std::sort(all.begin(), all.end());
+  std::vector<int> want(static_cast<std::size_t>(n));
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(all, want);
 }
 
 TEST(SpatialGridIndex, RingWalkCoversEveryPointExactlyOnce) {
@@ -115,39 +82,48 @@ TEST(SpatialGridIndex, RingLowerBoundNeverExceedsTrueDistance) {
 }
 
 TEST(SpatialGridIndex, DegenerateLayouts) {
-  // Empty set: every query is empty, no crash.
+  // Empty set: no ring to walk, and collect_ring appends nothing.
   const SpatialGridIndex empty{std::span<const Point>{}};
+  EXPECT_EQ(empty.max_ring(Point{0.0, 0.0}), -1);
   std::vector<int> out{17};
-  empty.k_nearest(Point{0.0, 0.0}, 3, out);
-  EXPECT_TRUE(out.empty());
-  empty.within_radius(Point{0.0, 0.0}, 10.0, out);
-  EXPECT_TRUE(out.empty());
+  empty.collect_ring(Point{0.0, 0.0}, 0, out);
+  EXPECT_EQ(out, (std::vector<int>{17}));
 
-  // Single point and all-coincident points (zero extent).
+  // All-coincident points (zero extent): one cell holds every id.
   const std::vector<Point> same(5, Point{3.0, 4.0});
   const SpatialGridIndex coincident{same};
-  coincident.k_nearest(Point{0.0, 0.0}, 3, out);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  coincident.within_radius(Point{3.0, 4.0}, 0.0, out);
-  EXPECT_EQ(out.size(), 5u);
+  EXPECT_EQ(coincident.max_ring(Point{0.0, 0.0}), 0);
+  EXPECT_EQ(ring_walk(coincident, Point{0.0, 0.0}),
+            (std::vector<std::vector<int>>{{0, 1, 2, 3, 4}}));
 
-  // Collinear points exercise a 1×n grid.
+  // Collinear points exercise a 1×n grid of 80/3 m cells: the home cell
+  // of x = 42 holds the points at 30, 40 and 50 m.
   std::vector<Point> line;
   for (int i = 0; i < 9; ++i) {
     line.push_back(Point{static_cast<double>(i) * 10.0, 5.0});
   }
   const SpatialGridIndex idx{line};
-  idx.k_nearest(Point{42.0, 5.0}, 2, out);
-  EXPECT_EQ(out, (std::vector<int>{4, 5}));
+  const auto rings = ring_walk(idx, Point{42.0, 5.0});
+  ASSERT_FALSE(rings.empty());
+  EXPECT_EQ(rings[0], (std::vector<int>{3, 4, 5}));
+  expect_covers_once(rings, 9);
 }
 
 TEST(SpatialGridIndex, ExplicitCellSizeHonored) {
   const std::vector<Point> pts = random_points(11, 30, 100.0);
   const SpatialGridIndex index{pts, 12.5};
   EXPECT_DOUBLE_EQ(index.cell_size_m(), 12.5);
-  std::vector<int> got;
-  index.k_nearest(Point{50.0, 50.0}, 30, got);
-  EXPECT_EQ(got, brute_k_nearest(pts, Point{50.0, 50.0}, 30));
+  // A point in ring r sits at most r + 1 cells away on each axis.
+  const Point q{50.0, 50.0};
+  const auto rings = ring_walk(index, q);
+  for (std::size_t ring = 0; ring < rings.size(); ++ring) {
+    for (const int id : rings[ring]) {
+      EXPECT_LE(distance(q, index.point(id)),
+                static_cast<double>(ring + 1) * 12.5 * std::sqrt(2.0))
+          << "ring " << ring << " id " << id;
+    }
+  }
+  expect_covers_once(rings, 30);
 }
 
 }  // namespace

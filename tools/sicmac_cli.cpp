@@ -31,9 +31,10 @@
 ///   --health-summary       per-AP lifetime health table
 ///
 /// Global performance flag (montecarlo, trace-eval, report):
-///   --threads <n>          sweep worker threads; 0 = all hardware threads
-///                          (default 1). Results are bit-identical for any
-///                          value — see DESIGN.md "Parallel sweeps".
+///   --threads <n>          sweep worker threads, at most 256; 0 = all
+///                          hardware threads (default 1). Results are
+///                          bit-identical for any value — see DESIGN.md
+///                          "Parallel sweeps".
 ///
 /// Exit codes: 0 success; 1 internal error; 2 usage error; 3 file I/O
 /// error; 4 trace format error; 5 deployment invariant violated;
@@ -715,8 +716,8 @@ void print_usage() {
       "sicmac — SIC MAC-layer analysis toolkit\n"
       "global flags: [--metrics-out m.json] [--trace-out t.jsonl]\n"
       "              [--log-level off|error|warn|info|debug]\n"
-      "              [--threads N]  (sweeps; 0 = all cores, results\n"
-      "                              identical for any thread count)\n"
+      "              [--threads N]  (sweeps; N <= 256, 0 = all cores;\n"
+      "                              results identical for any N)\n"
       "commands:\n"
       "  pair        --s1 dB --s2 dB [--table shannon|11b|11g|11n]\n"
       "  capacity    --s1 dB --s2 dB\n"
