@@ -12,6 +12,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
+  // Flags first: a usage error prints nothing on stdout.
+  const int threads = bench::threads(argc, argv);
   bench::header("Fig. 6 — two transmitters to different receivers",
                 "no gain from SIC in ~90% of random topologies, all ranges");
 
@@ -19,7 +21,6 @@ int run(int argc, char** argv) {
   constexpr int kTrials = 10000;
   constexpr std::uint64_t kSeed = 1234;
   constexpr double kBits = 12000.0;
-  const int threads = bench::threads(argc, argv);
   std::printf("trials=%d seed=%llu alpha=4 threads=%d\n\n", kTrials,
               static_cast<unsigned long long>(kSeed), threads);
   for (const double range : {30.0, 40.0, 50.0}) {

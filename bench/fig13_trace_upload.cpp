@@ -17,6 +17,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
+  // Flags first: a usage error prints nothing on stdout.
+  const int threads = bench::threads(argc, argv);
   bench::header("Fig. 13 — trace-driven upload pairing",
                 "pairing gains real; power control / multirate enhance them; "
                 "ordering mirrors Fig. 11a");
@@ -32,7 +34,7 @@ int run(int argc, char** argv) {
 
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
   analysis::UploadTraceEvalConfig eval;
-  eval.threads = bench::threads(argc, argv);
+  eval.threads = threads;
   const auto gains = analysis::evaluate_upload_trace(trace, shannon, eval);
   std::printf("(snapshot, AP) cells with >= 2 backlogged clients: %d\n\n",
               gains.cells_evaluated);

@@ -16,6 +16,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace sic;
   const bench::RunTimer timer;
+  // Flags first: a usage error prints nothing on stdout.
+  const int threads = bench::threads(argc, argv);
   bench::header("Fig. 14 — trace-driven download link pairs",
                 "(a) arbitrary bitrates: limited gains; (b) discrete "
                 "802.11g bitrates: SIC improves, packing unlocks more");
@@ -25,7 +27,7 @@ int run(int argc, char** argv) {
   const auto link_trace = generate_link_trace(config, kSeed);
   analysis::DownloadTraceEvalConfig eval;
   eval.pair_samples = 10000;
-  eval.threads = bench::threads(argc, argv);
+  eval.threads = threads;
   std::printf("campaign: %d APs, %d client locations, %d link-pair "
               "scenarios, seed=%llu\n\n",
               link_trace.n_aps(), link_trace.n_locations(), eval.pair_samples,

@@ -3,7 +3,10 @@
 /// count, the greedy-pairing ablation, and the cost of enabling the
 /// Section 5 techniques in the pair-cost model. The one-line JSON summary
 /// also carries schedule builds/sec at n = 256 with both techniques on, so
-/// the bench gate can pin the scheduler's own throughput.
+/// the bench gate can pin the scheduler's own throughput, and two keys of
+/// the discrete power-control search on seeded 802.11g cells of 32
+/// clients with both techniques: its exact probes per search (a count,
+/// the same on every host) and builds/sec.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "obs/metrics.hpp"
 #include "topology/samplers.hpp"
 #include "util/rng.hpp"
 
@@ -107,6 +111,54 @@ void BM_PairPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_PairPlan);
 
+/// The seeded 802.11g cells of the discrete power-control keys: 16 cells
+/// of 32 clients, about the size of a deployment AP's cell.
+std::vector<std::vector<channel::LinkBudget>> discrete_cells() {
+  std::vector<std::vector<channel::LinkBudget>> cells;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    cells.push_back(random_clients(32, seed));
+  }
+  return cells;
+}
+
+core::SchedulerOptions both_techniques() {
+  core::SchedulerOptions options;
+  options.enable_power_control = true;
+  options.enable_multirate = true;
+  return options;
+}
+
+const phy::DiscreteRateAdapter kDot11g{phy::RateTable::dot11g()};
+
+/// Exact probes per power-control search over one build of every cell,
+/// from the counters schedule_upload publishes.
+double pc_probes_per_search() {
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* const previous = obs::set_metrics(&registry);
+  for (const auto& cell : discrete_cells()) {
+    benchmark::DoNotOptimize(
+        core::schedule_upload(cell, kDot11g, both_techniques()).total_airtime);
+  }
+  (void)obs::set_metrics(previous);
+  const double searches = static_cast<double>(
+      registry.counter("scheduler.pair_engine.pc_searches").value());
+  const double probes = static_cast<double>(
+      registry.counter("scheduler.pair_engine.pc_probes").value());
+  return searches > 0.0 ? probes / searches : 0.0;
+}
+
+double discrete_builds_per_sec() {
+  const auto cells = discrete_cells();
+  return static_cast<double>(cells.size()) *
+         sic::bench::samples_per_sec([&] {
+           for (const auto& cell : cells) {
+             benchmark::DoNotOptimize(
+                 core::schedule_upload(cell, kDot11g, both_techniques())
+                     .total_airtime);
+           }
+         });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -124,5 +176,7 @@ int main(int argc, char** argv) {
                 core::schedule_upload(clients, kShannon, options)
                     .total_airtime);
           });
-        }}});
+        }},
+       {"pc_probes_per_search_11g", pc_probes_per_search},
+       {"discrete_builds_per_sec_n32", discrete_builds_per_sec}});
 }

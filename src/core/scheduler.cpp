@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "core/multirate.hpp"
 #include "core/power_control.hpp"
@@ -19,14 +20,14 @@ namespace {
 
 /// The one mode-selection rule behind every t_ij: a pair starts at its
 /// serial sum and moves to SIC, SIC + power control, then SIC + multirate,
-/// each only on a strict <, so no plan is slower than serial. \p s1 and
-/// \p s2 are the pair's margin-derated RSS, \p rates their SIC rates, and
+/// each only on a strict <, so no plan is slower than serial. \p rates are
+/// the pair's SIC rates at its margin-derated RSS, \p pc the power-control
+/// search's result there (unapplied when power control is off), and
 /// \p stronger_clean_rate r(S¹/N₀) of the derated stronger RSS, which
 /// multirate reads only when the stronger client lags.
 PairPlan select_plan(double serial_airtime, const SicRatePair& rates,
-                     BitsPerSecond stronger_clean_rate, Milliwatts s1,
-                     Milliwatts s2, Milliwatts noise,
-                     const phy::RateAdapter& adapter,
+                     const PowerControlResult& pc,
+                     BitsPerSecond stronger_clean_rate,
                      const SchedulerOptions& options) {
   const double bits = options.packet_bits;
   PairPlan best{PairMode::kSerial, serial_airtime, 1.0};
@@ -35,12 +36,8 @@ PairPlan select_plan(double serial_airtime, const SicRatePair& rates,
   if (t_sic < best.airtime) {
     best = PairPlan{PairMode::kSic, t_sic, 1.0};
   }
-  if (options.enable_power_control) {
-    const auto pc = optimize_weaker_power(
-        UploadPairContext::make(s1, s2, noise, adapter, bits));
-    if (pc.applied && pc.airtime < best.airtime) {
-      best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
-    }
+  if (pc.applied && pc.airtime < best.airtime) {
+    best = PairPlan{PairMode::kSicPowerControl, pc.airtime, pc.scale};
   }
   if (options.enable_multirate) {
     const auto mr =
@@ -62,6 +59,9 @@ class PairKernel {
       : adapter_(adapter),
         options_(options),
         noise_(clients.front().noise) {
+    if (options.enable_power_control) {
+      search_.emplace(adapter, options.packet_bits);
+    }
     const double derate =
         Decibels{-options.admission_margin_db.value()}.linear();
     for (const channel::LinkBudget& c : clients) {
@@ -83,7 +83,8 @@ class PairKernel {
   /// passes: (1) stronger/weaker normalization and both SIC SINRs,
   /// (2) one rate_span() call for both SIC rates of every pair (a single
   /// virtual dispatch per row), (3) select_plan on those rates. Only
-  /// power control looks up further rates.
+  /// power control looks up further rates, and only for pairs whose
+  /// stronger client is the strict bottleneck at full power.
   void plan_row(std::size_t i, std::span<PairPlan> row) {
     const std::size_t first = i + 1;
     const std::size_t count = row.size() - first;
@@ -112,15 +113,29 @@ class PairKernel {
     // Pass 3.
     for (std::size_t t = 0; t < count; ++t) {
       const std::size_t j = first + t;
-      const std::size_t stronger =
-          derated_rss_[i].value() >= derated_rss_[j].value() ? i : j;
-      row[j] = select_plan(
-          solo_airtime_[i] + solo_airtime_[j],
-          SicRatePair{rates_[t], rates_[count + t]},
-          options_.enable_multirate ? derated_clean_rate_[stronger]
-                                    : BitsPerSecond{0.0},
-          derated_rss_[i], derated_rss_[j], noise_, adapter_, options_);
+      const bool i_stronger =
+          derated_rss_[i].value() >= derated_rss_[j].value();
+      const std::size_t stronger = i_stronger ? i : j;
+      const SicRatePair rates{rates_[t], rates_[count + t]};
+      PowerControlResult pc;
+      if (search_) {
+        pc = search_->optimize(
+            phy::TwoSignalArrival{derated_rss_[stronger],
+                                  derated_rss_[i_stronger ? j : i], noise_},
+            rates);
+      }
+      row[j] = select_plan(solo_airtime_[i] + solo_airtime_[j], rates, pc,
+                           options_.enable_multirate
+                               ? derated_clean_rate_[stronger]
+                               : BitsPerSecond{0.0},
+                           options_);
     }
+  }
+
+  /// The power-control search shared by every pair of the build; empty
+  /// with power control off.
+  [[nodiscard]] const std::optional<WeakerPowerSearch>& search() const {
+    return search_;
   }
 
  private:
@@ -134,12 +149,18 @@ class PairKernel {
   std::vector<BitsPerSecond> derated_clean_rate_;
   std::vector<double> sinr_;            ///< row scratch: both SINR lanes
   std::vector<BitsPerSecond> rates_;    ///< row scratch: rate_span results
+  std::optional<WeakerPowerSearch> search_;
 };
 
-void publish_build(obs::MetricsRegistry* reg, std::uint64_t pair_evals) {
+void publish_build(obs::MetricsRegistry* reg, std::uint64_t pair_evals,
+                   const std::optional<WeakerPowerSearch>& search) {
   if (reg == nullptr) return;
   reg->counter("scheduler.pair_engine.builds").inc();
   reg->counter("scheduler.pair_engine.pair_evals").inc(pair_evals);
+  if (search) {
+    reg->counter("scheduler.pair_engine.pc_searches").inc(search->searches());
+    reg->counter("scheduler.pair_engine.pc_probes").inc(search->probes());
+  }
 }
 
 }  // namespace
@@ -176,13 +197,18 @@ PairPlan best_pair_plan(const channel::LinkBudget& a,
   const auto ctx =
       UploadPairContext::make(s1, s2, a.noise, adapter, options.packet_bits);
   const SicRatePair rates = sic_rates(ctx);
+  const PowerControlResult pc =
+      options.enable_power_control
+          ? WeakerPowerSearch{adapter, options.packet_bits}.optimize(
+                ctx.arrival, rates)
+          : PowerControlResult{};
   const BitsPerSecond clean =
       options.enable_multirate && rates.stronger < rates.weaker
           ? adapter.rate(ctx.arrival.stronger / ctx.arrival.noise)
           : BitsPerSecond{0.0};
   return select_plan(solo_airtime(a, adapter, options.packet_bits) +
                          solo_airtime(b, adapter, options.packet_bits),
-                     rates, clean, s1, s2, a.noise, adapter, options);
+                     rates, pc, clean, options);
 }
 
 matching::Matching run_pairing(
@@ -218,7 +244,7 @@ Schedule schedule_upload(std::span<const channel::LinkBudget> clients,
     schedule.slots.push_back(
         ScheduledSlot{0, -1, PairPlan{PairMode::kSolo, t, 1.0}});
     schedule.total_airtime = t;
-    publish_build(reg, 0);
+    publish_build(reg, 0, kernel.search());
     return schedule;
   }
 
@@ -279,7 +305,7 @@ Schedule schedule_upload(std::span<const channel::LinkBudget> clients,
             });
   const std::uint64_t pairs = static_cast<std::uint64_t>(n) *
                               static_cast<std::uint64_t>(n - 1) / 2;
-  publish_build(reg, pairs);
+  publish_build(reg, pairs, kernel.search());
   return schedule;
 }
 

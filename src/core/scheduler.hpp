@@ -126,7 +126,10 @@ struct Schedule {
 /// Validates \p options at any client count. With a metrics registry
 /// attached, a call over n >= 1 clients adds 1 to
 /// scheduler.pair_engine.builds and n(n-1)/2 to .pair_evals, and n >= 2
-/// times the pair-cost pass into the .kernel_wall_s histogram.
+/// times the pair-cost pass into the .kernel_wall_s histogram. With power
+/// control on it also adds the discrete power-control searches its pairs
+/// ran to .pc_searches and their probes to .pc_probes (see
+/// WeakerPowerSearch).
 [[nodiscard]] Schedule schedule_upload(
     std::span<const channel::LinkBudget> clients,
     const phy::RateAdapter& adapter, const SchedulerOptions& options = {});

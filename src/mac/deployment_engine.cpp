@@ -645,36 +645,47 @@ EpochStats DeploymentEngine::run_epoch() {
   }
 
   // 6. Serve every live AP with members — in parallel over APs, each
-  //    with a scratch metrics registry merged back in AP order so counter
-  //    maps are identical at any thread count.
+  //    with a scratch metrics registry and, when a trace sink is
+  //    attached, a trace shard, merged back in AP order so counter maps
+  //    and traces are identical at any thread count.
   std::vector<int> serving;
   for (const ApState& ap : aps_) {
     if (ap.alive && !ap.members.empty()) serving.push_back(ap.id);
   }
   obs::MetricsRegistry* caller = obs::metrics();
+  obs::TraceSink* caller_trace = obs::trace();
   std::vector<std::unique_ptr<obs::MetricsRegistry>> scratch(aps_.size());
+  std::vector<std::unique_ptr<obs::TraceSink>> shards(
+      caller_trace != nullptr ? aps_.size() : 0);
   pool_->parallel_for(
       static_cast<std::int64_t>(serving.size()), 1,
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t k = begin; k < end; ++k) {
           ApState& ap =
               aps_[static_cast<std::size_t>(serving[static_cast<std::size_t>(k)])];
+          const std::size_t id = static_cast<std::size_t>(ap.id);
           obs::MetricsRegistry* prev = nullptr;
+          obs::TraceSink* prev_trace = nullptr;
           if (caller != nullptr) {
-            scratch[static_cast<std::size_t>(ap.id)] =
-                std::make_unique<obs::MetricsRegistry>();
-            prev = obs::set_metrics(
-                scratch[static_cast<std::size_t>(ap.id)].get());
+            scratch[id] = std::make_unique<obs::MetricsRegistry>();
+            prev = obs::set_metrics(scratch[id].get());
+          }
+          if (caller_trace != nullptr) {
+            shards[id] = std::make_unique<obs::TraceSink>();
+            prev_trace = obs::set_trace(shards[id].get());
           }
           serve_ap(ap);
           if (caller != nullptr) (void)obs::set_metrics(prev);
+          if (caller_trace != nullptr) (void)obs::set_trace(prev_trace);
         }
       });
-  if (caller != nullptr) {
-    for (const int id : serving) {
-      if (scratch[static_cast<std::size_t>(id)] != nullptr) {
-        caller->merge_from(*scratch[static_cast<std::size_t>(id)]);
-      }
+  for (const int id : serving) {
+    const std::size_t i = static_cast<std::size_t>(id);
+    if (caller != nullptr && scratch[i] != nullptr) {
+      caller->merge_from(*scratch[i]);
+    }
+    if (caller_trace != nullptr && shards[i] != nullptr) {
+      caller_trace->append(*shards[i]);
     }
   }
 

@@ -57,6 +57,8 @@ TraceSink::TraceSink(std::ostream& os) : os_(&os) {
   *os_ << "[\n";
 }
 
+TraceSink::TraceSink() : os_(&buffer_) {}
+
 TraceSink::~TraceSink() { flush(); }
 
 void TraceSink::event(char ph, std::string_view name, double ts_us,
@@ -126,6 +128,13 @@ void TraceSink::name_track(int tid, std::string_view name) {
 }
 
 void TraceSink::flush() { os_->flush(); }
+
+void TraceSink::append(TraceSink& shard) {
+  *os_ << shard.buffer_.view();
+  events_ += shard.events_;
+  shard.buffer_.str({});
+  shard.events_ = 0;
+}
 
 TraceSink* trace() { return g_trace; }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,6 +39,10 @@ class TraceSink {
   /// Events are written to \p os as they are recorded; the stream must
   /// outlive the sink. The array-open bracket is written immediately.
   explicit TraceSink(std::ostream& os);
+  /// A shard: buffers its events, without framing, until a sink append()s
+  /// them. Code run on a pool worker records into a shard so the caller
+  /// can keep the events in a fixed order at any thread count.
+  TraceSink();
   ~TraceSink();
 
   TraceSink(const TraceSink&) = delete;
@@ -62,12 +67,17 @@ class TraceSink {
 
   void flush();
 
+  /// Moves \p shard's buffered events to the end of this sink, in the
+  /// order recorded, and empties \p shard.
+  void append(TraceSink& shard);
+
   [[nodiscard]] std::uint64_t events_written() const { return events_; }
 
  private:
   void event(char ph, std::string_view name, double ts_us, double dur_us,
              int tid, const Args& args, bool metadata = false);
 
+  std::ostringstream buffer_;  ///< a shard's events; unused otherwise
   std::ostream* os_;
   std::uint64_t events_ = 0;
 };
@@ -75,7 +85,8 @@ class TraceSink {
 /// Thread-local attach point, same contract as obs::metrics(): a sink
 /// attached on one thread is invisible to others, so pool workers never
 /// race on it (their spans are simply dropped — see DESIGN.md "Parallel
-/// sweeps").
+/// sweeps" — unless the caller attaches a shard on each worker, as the
+/// deployment engine's serve phase does).
 [[nodiscard]] TraceSink* trace();
 TraceSink* set_trace(TraceSink* sink);
 

@@ -38,12 +38,15 @@ bool is_blank(const std::string& s) {
 void write_csv(const RssiTrace& trace, std::ostream& os) {
   os << "timestamp_s,ap_id,client_id,rssi_dbm\n";
   for (const auto& snap : trace.snapshots) {
+    bool observed = false;
     for (const auto& ap : snap.aps) {
       for (const auto& obs : ap.clients) {
         os << snap.timestamp_s << ',' << ap.ap_id << ',' << obs.client_id
            << ',' << obs.rssi.value() << '\n';
+        observed = true;
       }
     }
+    if (!observed) os << snap.timestamp_s << ",,,\n";
   }
 }
 
@@ -69,6 +72,16 @@ RssiTrace read_csv(std::istream& is) {
     ++lineno;
     const std::string line = rstrip(raw);
     if (line.empty() || is_blank(line)) continue;
+    if (line.size() > 3 && line.ends_with(",,,")) {
+      std::istringstream ls{line.substr(0, line.size() - 3)};
+      std::int64_t ts = 0;
+      std::string rest;
+      if (!(ls >> ts) || ls >> rest) {
+        malformed(lineno, raw, "expected timestamp_s,,, for an empty snapshot");
+      }
+      rows[ts];
+      continue;
+    }
     std::istringstream ls{line};
     std::int64_t ts = 0;
     std::uint32_t ap = 0;

@@ -6,6 +6,9 @@
 ///
 ///   timestamp_s,ap_id,client_id,rssi_dbm
 ///
+/// One row per observation; a snapshot with no observations is one row
+/// `timestamp_s,,,`, so it survives the round trip.
+///
 /// A real building trace post-processed to the paper's snapshot form would
 /// be loaded through the same reader, which is the point of the exercise —
 /// the evaluation pipeline is byte-for-byte agnostic to whether the trace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace_sink.hpp"
 #include "util/check.hpp"
 
 namespace sic::mac {
@@ -113,11 +116,19 @@ TEST(DeploymentEngine, SingleApNoChaosBitIdenticalToClosedLoopExecutor) {
 }
 
 TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
-  // Same seed, same chaos, threads 1 / 4 / 7: every epoch stat and the
-  // full obs counter map must match bit for bit.
+  // Same seed, same chaos, threads 1 / 4 / 7: every epoch stat, the full
+  // obs counter map and the Perfetto trace must match bit for bit.
+  struct Run {
+    DeploymentResult result;
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::string trace;
+  };
   const auto run = [](int threads) {
     obs::MetricsRegistry registry;
     obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+    std::ostringstream trace_os;
+    obs::TraceSink sink{trace_os};
+    obs::TraceSink* prev_trace = obs::set_trace(&sink);
     DeploymentEngineConfig config;
     config.scheduler.enable_power_control = true;
     config.epoch_drift_sigma = Decibels{2.0};
@@ -135,12 +146,14 @@ TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
     const DeploymentResult result = engine.run_epochs(12);
     EXPECT_TRUE(auditor.ok());
     (void)obs::set_metrics(prev);
-    return std::pair{result, registry.counter_values()};
+    (void)obs::set_trace(prev_trace);
+    sink.flush();
+    return Run{result, registry.counter_values(), trace_os.str()};
   };
 
-  const auto [r1, c1] = run(1);
-  const auto [r4, c4] = run(4);
-  const auto [r7, c7] = run(7);
+  const auto [r1, c1, t1] = run(1);
+  const auto [r4, c4, t4] = run(4);
+  const auto [r7, c7, t7] = run(7);
   ASSERT_EQ(r1.epochs.size(), r4.epochs.size());
   ASSERT_EQ(r1.epochs.size(), r7.epochs.size());
   for (std::size_t e = 0; e < r1.epochs.size(); ++e) {
@@ -149,6 +162,9 @@ TEST(DeploymentEngine, BitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(c1, c4);
   EXPECT_EQ(c1, c7);
+  EXPECT_NE(t1.find("\"round\""), std::string::npos);
+  EXPECT_EQ(t1, t4);
+  EXPECT_EQ(t1, t7);
 }
 
 TEST(DeploymentEngine, EquidistantClientTieBreaksToLowerApId) {

@@ -108,6 +108,31 @@ TEST(TraceSink, NonNumericStringsStayStrings) {
   EXPECT_NE(line.find("\"c\":-2.5e3"), std::string::npos) << line;
 }
 
+TEST(TraceSink, ShardsAppendInTheCallersOrder) {
+  // Two shards recorded in either order land in the sink in append order,
+  // with no framing of their own, and are emptied by the append.
+  std::ostringstream direct_os;
+  TraceSink direct{direct_os};
+  direct.instant("a", 1.0, 1);
+  direct.instant("b", 2.0, 2);
+  direct.instant("c", 3.0, 3);
+
+  std::ostringstream os;
+  TraceSink sink{os};
+  TraceSink first;
+  TraceSink second;
+  second.instant("c", 3.0, 3);
+  first.instant("a", 1.0, 1);
+  first.instant("b", 2.0, 2);
+  sink.append(first);
+  sink.append(second);
+  EXPECT_EQ(os.str(), direct_os.str());
+  EXPECT_EQ(sink.events_written(), 3u);
+  EXPECT_EQ(first.events_written(), 0u);
+  sink.append(first);
+  EXPECT_EQ(os.str(), direct_os.str());
+}
+
 TEST(TraceSink, GlobalAttachPointRoundTrips) {
   ASSERT_EQ(trace(), nullptr);
   std::ostringstream os;

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/power_control.hpp"
+#include "obs/metrics.hpp"
 #include "phy/rate_table.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -20,6 +22,7 @@ namespace {
 const phy::ShannonRateAdapter kShannon{megahertz(20.0)};
 const phy::DiscreteRateAdapter kDot11g{phy::RateTable::dot11g()};
 const phy::DiscreteRateAdapter kDot11b{phy::RateTable::dot11b()};
+const phy::DiscreteRateAdapter kDot11n{phy::RateTable::dot11n()};
 constexpr Milliwatts kN0{1.0};
 
 // SNRs stay above the discrete tables' base sensitivity (6 dB for 802.11g)
@@ -175,6 +178,88 @@ TEST(PairCostEngine, ScheduleUploadBitIdenticalToReference) {
         }
       }
     }
+  }
+}
+
+TEST(ScheduleUpload, PowerControlCellsBitIdenticalToPairPlans) {
+  // schedule_upload skips the power-control search for pairs whose
+  // stronger client is not the strict bottleneck at full power, reading
+  // its row pass's rates; best_pair_plan runs the search on every pair.
+  // Every cell size a deployment AP serves, on all three discrete tables.
+  const phy::DiscreteRateAdapter* const adapters[] = {&kDot11b, &kDot11g,
+                                                      &kDot11n};
+  Rng rng{1402};
+  for (const phy::DiscreteRateAdapter* adapter : adapters) {
+    for (int n = 2; n <= 64; ++n) {
+      const auto clients = random_clients(rng, n);
+      for (const bool multirate : {false, true}) {
+        for (const double margin : {0.0, 3.0}) {
+          SchedulerOptions options;
+          options.enable_power_control = true;
+          options.enable_multirate = multirate;
+          options.admission_margin_db = Decibels{margin};
+          const std::string what = adapter->name() + " n=" +
+                                   std::to_string(n) +
+                                   (multirate ? " pc+mr" : " pc") +
+                                   " margin=" + std::to_string(margin);
+          expect_identical(schedule_upload(clients, *adapter, options),
+                           reference_schedule(clients, *adapter, options),
+                           what);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScheduleUpload, PublishesPowerControlSearchCountsPerBuild) {
+  // With power control on and a registry attached, a build adds the
+  // searches its pairs ran and their probes: one search per pair whose
+  // margin-derated stronger client is strictly slower than the weaker at
+  // full power, with the probes a WeakerPowerSearch makes on those pairs.
+  Rng rng{77};
+  const auto clients = random_clients(rng, 32);
+  SchedulerOptions options;
+  options.enable_power_control = true;
+  options.admission_margin_db = Decibels{3.0};
+  const double derate = Decibels{-3.0}.linear();
+  WeakerPowerSearch expected{kDot11g, options.packet_bits};
+  std::uint64_t strict_bottlenecks = 0;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    for (std::size_t j = i + 1; j < clients.size(); ++j) {
+      const UploadPairContext ctx = UploadPairContext::make(
+          clients[i].rss * derate, clients[j].rss * derate, kN0, kDot11g,
+          options.packet_bits);
+      const SicRatePair rates = sic_rates(ctx);
+      strict_bottlenecks +=
+          airtime_seconds(options.packet_bits, rates.stronger) >
+          airtime_seconds(options.packet_bits, rates.weaker);
+      (void)expected.optimize(ctx.arrival, rates);
+    }
+  }
+  ASSERT_GT(strict_bottlenecks, 0u);
+  ASSERT_LT(strict_bottlenecks, 32u * 31u / 2u);
+
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* const previous = obs::set_metrics(&registry);
+  (void)schedule_upload(clients, kDot11g, options);
+  (void)schedule_upload(clients, kDot11g, options);
+  options.enable_power_control = false;
+  (void)schedule_upload(clients, kDot11g, options);
+  (void)obs::set_metrics(previous);
+  EXPECT_EQ(registry.counter("scheduler.pair_engine.builds").value(), 3u);
+  EXPECT_EQ(registry.counter("scheduler.pair_engine.pc_searches").value(),
+            2 * strict_bottlenecks);
+  EXPECT_EQ(expected.searches(), strict_bottlenecks);
+  EXPECT_EQ(registry.counter("scheduler.pair_engine.pc_probes").value(),
+            2 * expected.probes());
+
+  // Power control off: no pc_* counter appears at all.
+  obs::MetricsRegistry off;
+  (void)obs::set_metrics(&off);
+  (void)schedule_upload(clients, kDot11g, options);
+  (void)obs::set_metrics(previous);
+  for (const auto& [name, value] : off.counter_values()) {
+    EXPECT_EQ(name.find("pc_"), std::string::npos) << name;
   }
 }
 

@@ -79,6 +79,19 @@ TEST(TraceIoEdge, TrailingJunkRejected) {
   EXPECT_THROW((void)read_csv(ss2), TraceFormatError);
 }
 
+TEST(TraceIoEdge, OnlyTimestampThenThreeCommasIsAnEmptySnapshot) {
+  std::stringstream ok{std::string{kHeader} + "\n900,,,\r\n0,0,1,-50\n"};
+  const RssiTrace t = read_csv(ok);
+  ASSERT_EQ(t.snapshots.size(), 2u);
+  EXPECT_EQ(t.snapshots[1].timestamp_s, 900);
+  EXPECT_TRUE(t.snapshots[1].aps.empty());
+  for (const char* row : {",,,", "x,,,", "900,,,,", "900,1,,,", "900,,",
+                          "900,,,junk", "900 1,,,"}) {
+    std::stringstream ss{std::string{kHeader} + "\n" + row + "\n"};
+    EXPECT_THROW((void)read_csv(ss), TraceFormatError) << row;
+  }
+}
+
 TEST(TraceIoEdge, ErrorClassesDistinguishIoFromFormat) {
   EXPECT_THROW((void)read_csv_file("/nonexistent/sicmac.csv"), TraceIoError);
   std::stringstream bad{"wrong,header\n"};

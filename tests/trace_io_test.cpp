@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "trace/generator.hpp"
@@ -67,6 +68,51 @@ TEST(TraceIo, GeneratedTraceRoundTrips) {
   std::stringstream ss;
   write_csv(original, ss);
   const RssiTrace parsed = read_csv(ss);
+  EXPECT_EQ(parsed.total_observations(), original.total_observations());
+}
+
+TEST(TraceIo, EmptySnapshotsRoundTrip) {
+  // A snapshot with no observations (no AP, or APs with no client) is
+  // written as one "timestamp_s,,," row and read back as an empty
+  // snapshot at its timestamp.
+  RssiTrace original = tiny_trace();
+  Snapshot quiet;
+  quiet.timestamp_s = 450;
+  Snapshot idle_ap;
+  idle_ap.timestamp_s = 1800;
+  idle_ap.aps.push_back(ApSnapshot{2, {}});
+  original.snapshots = {original.snapshots[0], quiet, original.snapshots[1],
+                        idle_ap};
+  std::stringstream ss;
+  write_csv(original, ss);
+  EXPECT_NE(ss.str().find("\n450,,,\n"), std::string::npos) << ss.str();
+  EXPECT_NE(ss.str().find("\n1800,,,\n"), std::string::npos) << ss.str();
+  const RssiTrace parsed = read_csv(ss);
+  ASSERT_EQ(parsed.snapshots.size(), 4u);
+  const std::int64_t timestamps[] = {0, 450, 900, 1800};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(parsed.snapshots[i].timestamp_s, timestamps[i]);
+  }
+  EXPECT_TRUE(parsed.snapshots[1].aps.empty());
+  EXPECT_TRUE(parsed.snapshots[3].aps.empty());
+  EXPECT_EQ(parsed.total_observations(), original.total_observations());
+}
+
+TEST(TraceIo, GeneratedDayKeepsEverySnapshot) {
+  // `sicmac trace-gen --days 1 --seed 5`: 96 quarter-hour snapshots, three
+  // of them with no observation.
+  BuildingConfig config;
+  config.duration_s = 24 * 3600;
+  const RssiTrace original = generate_building_trace(config, 5);
+  std::stringstream ss;
+  write_csv(original, ss);
+  const RssiTrace parsed = read_csv(ss);
+  ASSERT_EQ(parsed.snapshots.size(), original.snapshots.size());
+  EXPECT_EQ(parsed.snapshots.size(), 96u);
+  for (std::size_t i = 0; i < parsed.snapshots.size(); ++i) {
+    EXPECT_EQ(parsed.snapshots[i].timestamp_s,
+              original.snapshots[i].timestamp_s);
+  }
   EXPECT_EQ(parsed.total_observations(), original.total_observations());
 }
 
