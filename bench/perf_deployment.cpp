@@ -11,6 +11,12 @@
 ///   assoc_brute_clients_per_sec brute reference at the same scale
 ///   assoc_speedup_100kx1024     grid / brute (the ≥10× acceptance bar)
 ///   assoc_candidates_per_client mean APs actually scored by the walk
+///                               (exact for a toolchain, gated at 0 %)
+///   assoc_scored_per_epoch_10kx256
+///                               clients the engine's association phase
+///                               scores per epoch, mean over epochs 0–19
+///                               of a steady strongest-AP deployment
+///                               (exact for a toolchain, gated at 0 %)
 ///   epoch_per_sec               engine epochs at 10k clients × 256 APs
 ///   rate_span_speedup_n256      batched DiscreteRateAdapter lanes vs the
 ///                               scalar dB-domain lookup (one log10 each)
@@ -28,6 +34,7 @@
 #include "channel/pathloss.hpp"
 #include "mac/association.hpp"
 #include "mac/deployment_engine.hpp"
+#include "obs/metrics.hpp"
 #include "perf_util.hpp"
 #include "phy/rate_adapter.hpp"
 #include "topology/geometry.hpp"
@@ -201,12 +208,15 @@ BENCHMARK(BM_RateSpanShannon)->Arg(256);
 
 /// A steady-state deployment: clients pre-placed around a jittered AP
 /// lattice, no chaos, epoch drift keeping channels (and therefore the
-/// dirty-row updates) alive.
+/// dirty-row updates) alive. \p load_penalty defaults to the engine's.
 std::unique_ptr<mac::DeploymentEngine> make_engine(
-    int n_clients, int n_aps, const phy::RateAdapter& adapter) {
+    int n_clients, int n_aps, const phy::RateAdapter& adapter,
+    Decibels load_penalty =
+        mac::DeploymentEngineConfig{}.load_penalty_per_client) {
   mac::DeploymentEngineConfig config;
   config.seed = 9;
   config.epoch_drift_sigma = Decibels{1.0};
+  config.load_penalty_per_client = load_penalty;
   AssocInstance ins = make_instance(n_clients, n_aps, 9);
   auto engine = std::make_unique<mac::DeploymentEngine>(
       ins.sites, adapter, config, mac::FaultSchedule{});
@@ -283,6 +293,24 @@ double measure_epoch_per_sec() {
   });
 }
 
+/// Clients the association phase scores per epoch, mean over epochs 0–19,
+/// at 10k clients × 256 APs with no load penalty (nearest_serve's shape on
+/// 1 thread). Epoch 0 scores every client and epoch 1 every client again
+/// for its new incumbent; after that nothing moves, so ~1,000. A count,
+/// not a time: any rise means association re-scores work it could keep.
+double measure_assoc_scored_per_epoch() {
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  auto engine = make_engine(10000, 256, shannon, Decibels{0.0});
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+  constexpr int kEpochs = 20;
+  for (int e = 0; e < kEpochs; ++e) (void)engine->run_epoch();
+  (void)obs::set_metrics(prev);
+  return static_cast<double>(
+             registry.counter("deploy.assoc.scored").value()) /
+         kEpochs;
+}
+
 /// Batched discrete rate lanes vs the scalar dB-domain lookup at n = 256
 /// (dot11n, the widest ladder). Each sample is 1000 spans so the clock
 /// reads milliseconds.
@@ -329,6 +357,7 @@ int main(int argc, char** argv) {
         }},
        {"assoc_candidates_per_client",
         [&ab] { return ab.candidates_per_client; }},
+       {"assoc_scored_per_epoch_10kx256", measure_assoc_scored_per_epoch},
        {"epoch_per_sec", measure_epoch_per_sec},
        {"rate_span_speedup_n256", measure_rate_span_speedup}});
 }

@@ -7,8 +7,9 @@
 /// JSON summary ({"bench":...,"wall_ms":...,"throughput":...}, throughput
 /// in benchmarks completed per second) so CI can trend the total perf cost
 /// of a binary without parsing the full benchmark table. A binary may add
-/// summary keys of its own (SummaryKey), measured after the benchmarks and
-/// counted in wall_ms, so the bench gate can pin one layer's throughput.
+/// summary keys of its own (SummaryKey), measured after the benchmarks, so
+/// the bench gate can pin one layer's throughput or work count. wall_ms
+/// times the benchmarks alone: adding a key does not move throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -65,15 +66,15 @@ inline int run_perf_main(const char* name, int argc, char** argv,
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const auto start = std::chrono::steady_clock::now();
   const std::size_t n_run = benchmark::RunSpecifiedBenchmarks();
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   std::string keys;
   for (const SummaryKey& key : extra) {
     char buf[128];
     std::snprintf(buf, sizeof buf, ",\"%s\":%.2f", key.name, key.measure());
     keys += buf;
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
   const double throughput =
       wall_ms > 0.0 ? 1e3 * static_cast<double>(n_run) / wall_ms : 0.0;
   std::printf("{\"bench\":\"%s\",\"wall_ms\":%.1f,\"throughput\":%.3f%s}\n",

@@ -1,6 +1,7 @@
 #include "mac/association.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "topology/geometry.hpp"
@@ -43,6 +44,7 @@ AssociationProposal AssociationPlanner::propose_brute(
     std::span<const std::uint8_t> ap_alive,
     std::span<const int> ap_members) const {
   AssociationProposal p;
+  p.scored_for = incumbent;
   const int n = index_.size();
   for (int ap = 0; ap < n; ++ap) {
     if (ap_alive[static_cast<std::size_t>(ap)] == 0) continue;
@@ -63,6 +65,7 @@ AssociationProposal AssociationPlanner::propose_grid(
     std::span<const std::uint8_t> ap_alive, std::span<const int> ap_members,
     int min_live_members, std::vector<int>& ring_scratch) const {
   AssociationProposal p;
+  p.scored_for = incumbent;
   // No live AP can beat this bound from ring r onward: its RSS is at most
   // the RSS at the ring's distance lower bound (received power is
   // monotone non-increasing in distance, clamped below the reference
@@ -116,12 +119,64 @@ void AssociationPlanner::plan(AssociationMode mode,
                               std::span<const int> ap_members,
                               ThreadPool& pool,
                               std::vector<AssociationProposal>& out) const {
+  (void)score_clients(mode, xs, ys, eligible, incumbent, ap_alive, ap_members,
+                      /*keep_scored=*/false, pool, out);
+}
+
+std::size_t AssociationPlanner::replan(
+    AssociationMode mode, std::span<const double> xs,
+    std::span<const double> ys, std::span<const std::uint8_t> eligible,
+    std::span<const int> incumbent, std::span<const std::uint8_t> ap_alive,
+    std::span<const int> ap_members, ThreadPool& pool,
+    ProposalCarry& carry) const {
+  // Member counts change no bit of a proposal at a zero load penalty
+  // (file comment), so then liveness alone decides whether last call's
+  // snapshot still holds.
+  const bool same_snapshot =
+      std::ranges::equal(ap_alive, carry.ap_alive) &&
+      (load_penalty_per_client_.value() <= 0.0 ||
+       std::ranges::equal(ap_members, carry.ap_members));
+  const std::size_t scored =
+      score_clients(mode, xs, ys, eligible, incumbent, ap_alive, ap_members,
+                    /*keep_scored=*/same_snapshot, pool, carry.proposals);
+  carry.ap_alive.assign(ap_alive.begin(), ap_alive.end());
+  carry.ap_members.assign(ap_members.begin(), ap_members.end());
+  return scored;
+}
+
+std::size_t AssociationPlanner::score_clients(
+    AssociationMode mode, std::span<const double> xs,
+    std::span<const double> ys, std::span<const std::uint8_t> eligible,
+    std::span<const int> incumbent, std::span<const std::uint8_t> ap_alive,
+    std::span<const int> ap_members, bool keep_scored, ThreadPool& pool,
+    std::vector<AssociationProposal>& out) const {
   const std::size_t n_clients = xs.size();
   SIC_CHECK(ys.size() == n_clients && eligible.size() == n_clients &&
             incumbent.size() == n_clients);
   SIC_CHECK(ap_alive.size() == static_cast<std::size_t>(index_.size()) &&
             ap_members.size() == static_cast<std::size_t>(index_.size()));
-  out.assign(n_clients, AssociationProposal{});
+  // Appended clients get unscored slots. Grow to the exact count, not by
+  // doubling: a carry lives as long as its engine, and arrivals would
+  // otherwise raise the peak heap.
+  out.reserve(n_clients);
+  out.resize(n_clients);
+
+  // Ineligible slots hold the default proposal. One cheap sequential pass
+  // resets those of clients that turned ineligible and finds out whether
+  // any eligible client needs a score; a steady epoch keeps every
+  // proposal and leaves the pool's workers asleep.
+  const auto keep = [&](std::size_t ci) {
+    return keep_scored && out[ci].scored_for == incumbent[ci];
+  };
+  bool any_stale = false;
+  for (std::size_t ci = 0; ci < n_clients; ++ci) {
+    if (eligible[ci] == 0) {
+      out[ci] = AssociationProposal{};
+    } else {
+      any_stale = any_stale || !keep(ci);
+    }
+  }
+  if (!any_stale) return 0;
 
   // Fleet-wide minimum member count over live APs, for the grid cutoff's
   // load bound. One sequential O(APs) pass per epoch — negligible next to
@@ -137,14 +192,18 @@ void AssociationPlanner::plan(AssociationMode mode,
     }
   }
 
+  // Each chunk adds its count once; an integer sum is the same in any
+  // order, so the total is thread-count invariant like the proposals.
+  std::atomic<std::size_t> scored{0};
   constexpr std::int64_t kChunk = 256;
   pool.parallel_for(
       static_cast<std::int64_t>(n_clients), kChunk,
       [&](std::int64_t begin, std::int64_t end) {
         std::vector<int> ring_scratch;
+        std::size_t chunk_scored = 0;
         for (std::int64_t i = begin; i < end; ++i) {
           const std::size_t ci = static_cast<std::size_t>(i);
-          if (eligible[ci] == 0) continue;
+          if (eligible[ci] == 0 || keep(ci)) continue;
           const topology::Point q{xs[ci], ys[ci]};
           out[ci] = mode == AssociationMode::kBruteForce
                         ? propose_brute(q, incumbent[ci], ap_alive,
@@ -152,8 +211,11 @@ void AssociationPlanner::plan(AssociationMode mode,
                         : propose_grid(q, incumbent[ci], ap_alive,
                                        ap_members, min_live_members,
                                        ring_scratch);
+          ++chunk_scored;
         }
+        scored += chunk_scored;
       });
+  return scored;
 }
 
 }  // namespace sic::mac

@@ -148,16 +148,21 @@ void InvariantAuditor::check(const EpochInvariants& inv) {
 struct DeploymentEngine::ClientState {
   topology::Point position;
   bool active = true;
+  bool quarantined = false;
   int ap = -1;              ///< serving AP id, -1 = unassigned
   Decibels drift{0.0};      ///< truth deviation from nominal (epoch AR(1))
   Decibels est_drift{0.0};  ///< drift captured at the last re-estimation
   int fail_streak = 0;      ///< consecutive epochs with abandoned frames
-  bool quarantined = false;
   int quarantine_until = 0;
   int quarantine_times = 0;
   /// AP the client was exiled from (-1 when unattributed) — attributes
   /// quarantine occupancy to the cell that was failing the client.
   int quarantined_from = -1;
+  /// Planning RSS toward the serving AP, nominal_budget(..).rss ·
+  /// est_drift.linear(), set when that AP last re-estimated. Both factors
+  /// change only then: joining an AP, like every other input change,
+  /// marks it dirty.
+  Milliwatts plan_rss{0.0};
 };
 
 struct DeploymentEngine::ApState {
@@ -195,6 +200,8 @@ DeploymentEngine::DeploymentEngine(std::vector<topology::Point> ap_sites,
           config.pathloss_exponent)),
       noise_mw_(config.noise_floor.to_milliwatts()),
       pool_(std::make_unique<ThreadPool>(ThreadPool::resolve(config.threads))) {
+  // plan_rss fills what was padding: one cache line per client, as before.
+  static_assert(sizeof(ClientState) == 64);
   SIC_CHECK_MSG(!ap_sites.empty(), "deployment needs at least one AP");
   SIC_CHECK_MSG(config_.upload.faults.initial_drift.empty(),
                 "upload.faults.initial_drift is engine-owned; leave it empty");
@@ -394,8 +401,8 @@ void DeploymentEngine::apply_chaos(const EpochChaos& chaos,
 void DeploymentEngine::associate_clients(EpochStats& stats,
                                          std::vector<int>& handoff_flux) {
   const std::size_t n = clients_.size();
-  // Phase 1 (parallel): score every eligible client against a snapshot
-  // of the epoch-start AP state. Positions are append-only SoA mirrors
+  // Phase 1 (parallel): a proposal for every eligible client against a
+  // snapshot of the epoch-start AP state. Positions are append-only SoA mirrors
   // (add_client); eligibility/incumbents are rebuilt in one O(clients)
   // pass. Snapshot scoring makes every client's proposal independent of
   // commit order — all clients compare the same AP loads this epoch —
@@ -414,9 +421,13 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
     ap_alive_scratch_.push_back(ap.alive ? 1 : 0);
     ap_members_scratch_.push_back(static_cast<int>(ap.members.size()));
   }
-  assoc_planner_->plan(config_.association_mode, client_x_, client_y_,
-                       assoc_eligible_, assoc_incumbent_, ap_alive_scratch_,
-                       ap_members_scratch_, *pool_, proposals_);
+  // Only clients whose proposal inputs moved are re-scored; the rest
+  // keep last epoch's proposal, bit for bit (AssociationPlanner::replan).
+  const std::size_t scored = assoc_planner_->replan(
+      config_.association_mode, client_x_, client_y_, assoc_eligible_,
+      assoc_incumbent_, ap_alive_scratch_, ap_members_scratch_, *pool_,
+      assoc_carry_);
+  const std::vector<AssociationProposal>& proposals = assoc_carry_.proposals;
 
   // Phase 2 (sequential, client-id order): hysteresis against the
   // incumbent score computed once in phase 1 — never re-derived — then
@@ -424,7 +435,7 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
   std::uint64_t candidates = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (assoc_eligible_[i] == 0) continue;
-    const AssociationProposal& p = proposals_[i];
+    const AssociationProposal& p = proposals[i];
     candidates += p.candidates;
     ClientState& c = clients_[i];
     const int best = p.best_ap;
@@ -456,15 +467,19 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
   }
   if (obs::MetricsRegistry* reg = obs::metrics()) {
     reg->counter("deploy.assoc.candidates").inc(candidates);
+    reg->counter("deploy.assoc.scored").inc(scored);
   }
 }
 
 void DeploymentEngine::serve_ap(ApState& ap) {
   if (ap.dirty) {
-    // Re-estimation: the AP measures every member's channel fresh.
+    // Re-estimation: the AP measures every member's channel fresh, and
+    // each member's planning RSS is computed once for the epochs until
+    // the next one.
     for (const int m : ap.members) {
       ClientState& c = clients_[static_cast<std::size_t>(m)];
       c.est_drift = c.drift;
+      c.plan_rss = nominal_budget(m, ap.id).rss * c.est_drift.linear();
     }
   }
   // Planning estimates (member order) and execution offsets, in buffers
@@ -473,10 +488,8 @@ void DeploymentEngine::serve_ap(ApState& ap) {
   thread_local std::vector<Decibels> offsets;
   budgets.clear();
   for (const int m : ap.members) {
-    const channel::LinkBudget nominal = nominal_budget(m, ap.id);
-    const Decibels est = clients_[static_cast<std::size_t>(m)].est_drift;
-    budgets.push_back(
-        channel::LinkBudget{nominal.rss * est.linear(), noise_mw_});
+    budgets.push_back(channel::LinkBudget{
+        clients_[static_cast<std::size_t>(m)].plan_rss, noise_mw_});
   }
   if (ap.dirty) {
     ap.schedule =

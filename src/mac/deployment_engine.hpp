@@ -323,7 +323,10 @@ class DeploymentEngine {
   std::vector<int> assoc_incumbent_;
   std::vector<std::uint8_t> ap_alive_scratch_;
   std::vector<int> ap_members_scratch_;
-  std::vector<AssociationProposal> proposals_;
+  /// Last epoch's proposals and the AP snapshot behind them: the score
+  /// phase re-scores only clients whose inputs moved
+  /// (AssociationPlanner::replan).
+  ProposalCarry assoc_carry_;
   InvariantAuditor* auditor_ = nullptr;
   int epoch_ = 0;
   int storm_until_ = 0;  ///< churn multiplier active while epoch_ < this

@@ -3,8 +3,8 @@
 /// recorded value, so any change to event order, decode verdicts, RNG draw
 /// order or result accounting in mac/ shows up as a digest mismatch. The
 /// grids cover both executors, Shannon and 802.11g rates, plain and
-/// power-control + multirate plans, every injected fault class, and a
-/// chaotic multi-AP deployment.
+/// power-control + multirate plans, every injected fault class, and two
+/// chaotic multi-AP deployments: load-aware and strongest-AP association.
 ///
 /// A deliberate behaviour change re-records the constants: run the suite,
 /// read the "actual" digest from the failure message, and say why in the
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -123,9 +124,41 @@ struct Coverage {
   }
 };
 
+/// Folds one epoch's stats and every AP's liveness, ladder level, member
+/// list and inner-run result; returns the epoch's transmissions.
+std::uint64_t fold_epoch(Fnv1a& d, const EpochStats& s,
+                         const DeploymentEngine& engine) {
+  for (const std::uint64_t v :
+       {s.offered, s.confirmed, s.unrecovered, s.deferred, s.decisions}) {
+    d.word(v);
+  }
+  for (const int v :
+       {s.epoch, s.live_aps, s.active_clients, s.quarantined_clients,
+        s.handoffs, s.rematched_aps, s.outages_started, s.bursts_started,
+        s.arrivals, s.departures, s.quarantines, s.readmissions,
+        s.ladder_steps, s.watchdog_fires}) {
+    d.word(static_cast<std::uint64_t>(v));
+  }
+  d.real(s.mean_health);
+  std::uint64_t transmissions = 0;
+  for (int ap = 0; ap < engine.n_aps(); ++ap) {
+    d.word(engine.ap_alive(ap) ? 1 : 0);
+    d.word(static_cast<std::uint64_t>(engine.ladder_level(ap)));
+    d.word(engine.ap_members(ap).size());
+    for (const int m : engine.ap_members(ap)) {
+      d.word(static_cast<std::uint64_t>(m));
+    }
+    const UploadSimResult& r = engine.last_ap_result(ap);
+    fold(d, r);
+    transmissions += r.medium.transmissions;
+  }
+  return transmissions;
+}
+
 constexpr std::uint64_t kScheduledDigest = 0x25d0e5ce8118549dULL;
 constexpr std::uint64_t kDcfDigest = 0x0daf3d53239e55c2ULL;
 constexpr std::uint64_t kEngineDigest = 0x038420f3c44b974dULL;
+constexpr std::uint64_t kStrongestApDigest = 0x3a5bdb6af199968eULL;
 
 TEST(UploadSim, SeededRunsMatchRecordedDigest) {
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
@@ -245,36 +278,96 @@ TEST(DeploymentEngine, SeededEpochsMatchRecordedDigest) {
   Fnv1a d;
   std::uint64_t transmissions = 0;
   for (int e = 0; e < 4; ++e) {
-    const EpochStats s = engine.run_epoch();
-    for (const std::uint64_t v :
-         {s.offered, s.confirmed, s.unrecovered, s.deferred, s.decisions}) {
-      d.word(v);
-    }
-    for (const int v :
-         {s.epoch, s.live_aps, s.active_clients, s.quarantined_clients,
-          s.handoffs, s.rematched_aps, s.outages_started, s.bursts_started,
-          s.arrivals, s.departures, s.quarantines, s.readmissions,
-          s.ladder_steps, s.watchdog_fires}) {
-      d.word(static_cast<std::uint64_t>(v));
-    }
-    d.real(s.mean_health);
-    for (int ap = 0; ap < engine.n_aps(); ++ap) {
-      d.word(engine.ap_alive(ap) ? 1 : 0);
-      d.word(static_cast<std::uint64_t>(engine.ladder_level(ap)));
-      d.word(engine.ap_members(ap).size());
-      for (const int m : engine.ap_members(ap)) {
-        d.word(static_cast<std::uint64_t>(m));
-      }
-      const UploadSimResult& r = engine.last_ap_result(ap);
-      fold(d, r);
-      transmissions += r.medium.transmissions;
-    }
+    transmissions += fold_epoch(d, engine.run_epoch(), engine);
   }
   (void)obs::set_trace(prev);
   sink.flush();
   d.text(trace.str());
   EXPECT_GT(transmissions, 0u);
   EXPECT_EQ(d.value(), kEngineDigest) << std::hex << "actual 0x" << d.value();
+}
+
+TEST(DeploymentEngine, StrongestApEpochsMatchRecordedDigest) {
+  // Strongest-AP association (no load penalty) with 1 dB epoch drift, on
+  // 802.11g with power control and multirate. Chaos brings stochastic
+  // outages and restarts, one scripted outage cut short by a scripted
+  // restart, bursts, departures and arrivals; between them many epochs
+  // keep every AP's liveness, so the digest covers both epochs that
+  // disturb association and planning and epochs that disturb neither.
+  // Every thread count must produce the same digest.
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  ChaosProfile profile;
+  profile.ap_outage_prob = 0.02;
+  profile.outage_epochs = 3;
+  profile.burst_prob = 0.04;
+  profile.burst_epochs = 2;
+  profile.departure_prob = 0.01;
+  profile.arrival_rate = 2.0;
+  std::vector<topology::Point> sites;
+  for (int i = 0; i < 16; ++i) {
+    sites.push_back({50.0 * (i % 4), 50.0 * (i / 4)});
+  }
+  for (const int threads : {1, 4, 7}) {
+    DeploymentEngineConfig config;
+    config.scheduler.enable_power_control = true;
+    config.scheduler.enable_multirate = true;
+    config.load_penalty_per_client = Decibels{0.0};
+    config.epoch_drift_sigma = Decibels{1.0};
+    config.threads = threads;
+    config.seed = 23;
+    FaultSchedule chaos{profile};
+    chaos.add({.epoch = 4, .kind = ChaosEventKind::kApOutage, .ap = 5,
+               .duration_epochs = 12});
+    chaos.add({.epoch = 9, .kind = ChaosEventKind::kApRestart, .ap = 5});
+    DeploymentEngine engine{sites, dot11g, config, std::move(chaos)};
+    Rng place{config.seed};
+    for (int c = 0; c < 240; ++c) {
+      (void)engine.add_client(
+          {place.uniform(-20.0, 170.0), place.uniform(-20.0, 170.0)});
+    }
+
+    Fnv1a d;
+    std::uint64_t transmissions = 0;
+    int outages = 0;
+    int bursts = 0;
+    int departures = 0;
+    int arrivals = 0;
+    int handoffs = 0;
+    int restarts = 0;
+    int steady_epochs = 0;
+    std::vector<std::uint8_t> alive_before;
+    for (int e = 0; e < 30; ++e) {
+      const EpochStats s = engine.run_epoch();
+      transmissions += fold_epoch(d, s, engine);
+      outages += s.outages_started;
+      bursts += s.bursts_started;
+      departures += s.departures;
+      arrivals += s.arrivals;
+      handoffs += s.handoffs;
+      for (int c = 0; c < 240 + arrivals; ++c) {
+        d.word(static_cast<std::uint64_t>(engine.assignment(c) + 1));
+      }
+      std::vector<std::uint8_t> alive;
+      for (int ap = 0; ap < engine.n_aps(); ++ap) {
+        alive.push_back(engine.ap_alive(ap) ? 1 : 0);
+        if (e > 0 && alive.back() > alive_before[alive.size() - 1]) {
+          ++restarts;
+        }
+      }
+      if (alive == alive_before) ++steady_epochs;
+      alive_before = std::move(alive);
+    }
+    EXPECT_GT(transmissions, 0u);
+    EXPECT_GE(outages, 3);
+    EXPECT_GE(restarts, 3);
+    EXPECT_GT(bursts, 0);
+    EXPECT_GT(departures, 0);
+    EXPECT_GT(arrivals, 0);
+    EXPECT_GT(handoffs, 0);
+    EXPECT_GE(steady_epochs, 10);
+    EXPECT_EQ(d.value(), kStrongestApDigest)
+        << "threads " << threads << std::hex << " actual 0x" << d.value();
+  }
 }
 
 }  // namespace
