@@ -17,6 +17,10 @@
 ///                               scores per epoch, mean over epochs 0–19
 ///                               of a steady strongest-AP deployment
 ///                               (exact for a toolchain, gated at 0 %)
+///   drift_carried_per_epoch_10kx256
+///                               share of those epochs whose drift draws
+///                               were made during the previous epoch's
+///                               serve phase (exact, gated at 0 %)
 ///   epoch_per_sec               engine epochs at 10k clients × 256 APs
 ///   rate_span_speedup_n256      batched DiscreteRateAdapter lanes vs the
 ///                               scalar dB-domain lookup (one log10 each)
@@ -293,12 +297,21 @@ double measure_epoch_per_sec() {
   });
 }
 
-/// Clients the association phase scores per epoch, mean over epochs 0–19,
-/// at 10k clients × 256 APs with no load penalty (nearest_serve's shape on
-/// 1 thread). Epoch 0 scores every client and epoch 1 every client again
-/// for its new incumbent; after that nothing moves, so ~1,000. A count,
-/// not a time: any rise means association re-scores work it could keep.
-double measure_assoc_scored_per_epoch() {
+/// Per-epoch work counts of epochs 0–19 at 10k clients × 256 APs with no
+/// load penalty (nearest_serve's shape on 1 thread). Counts, not times.
+struct SteadyCounts {
+  /// Clients association scores per epoch. Epoch 0 scores every client
+  /// and epoch 1 every client again for its new incumbent; after that
+  /// nothing moves, so ~1,000. Any rise means association re-scores work
+  /// it could keep.
+  double assoc_scored = 0.0;
+  /// Epochs whose drift draws the previous epoch's serve phase made:
+  /// every epoch but epoch 0, so 0.95. Any fall means epochs draw their
+  /// drift on the critical path again.
+  double drift_carried = 0.0;
+};
+
+SteadyCounts measure_steady_counts() {
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
   auto engine = make_engine(10000, 256, shannon, Decibels{0.0});
   obs::MetricsRegistry registry;
@@ -306,9 +319,11 @@ double measure_assoc_scored_per_epoch() {
   constexpr int kEpochs = 20;
   for (int e = 0; e < kEpochs; ++e) (void)engine->run_epoch();
   (void)obs::set_metrics(prev);
-  return static_cast<double>(
-             registry.counter("deploy.assoc.scored").value()) /
-         kEpochs;
+  const auto per_epoch = [&registry](const char* counter) {
+    return static_cast<double>(registry.counter(counter).value()) / kEpochs;
+  };
+  return SteadyCounts{per_epoch("deploy.assoc.scored"),
+                      per_epoch("deploy.drift.carried")};
 }
 
 /// Batched discrete rate lanes vs the scalar dB-domain lookup at n = 256
@@ -341,7 +356,9 @@ double measure_rate_span_speedup() {
 
 int main(int argc, char** argv) {
   // The A/B runs once, in the first key; the next three report its parts.
+  // Likewise the steady run, for the two per-epoch counts.
   AssocAb ab;
+  SteadyCounts steady;
   return sic::bench::run_perf_main(
       "perf_deployment", argc, argv,
       {{"assoc_clients_per_sec",
@@ -357,7 +374,13 @@ int main(int argc, char** argv) {
         }},
        {"assoc_candidates_per_client",
         [&ab] { return ab.candidates_per_client; }},
-       {"assoc_scored_per_epoch_10kx256", measure_assoc_scored_per_epoch},
+       {"assoc_scored_per_epoch_10kx256",
+        [&steady] {
+          steady = measure_steady_counts();
+          return steady.assoc_scored;
+        }},
+       {"drift_carried_per_epoch_10kx256",
+        [&steady] { return steady.drift_carried; }},
        {"epoch_per_sec", measure_epoch_per_sec},
        {"rate_span_speedup_n256", measure_rate_span_speedup}});
 }

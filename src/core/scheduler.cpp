@@ -70,21 +70,21 @@ class PairKernel {
       derated_rss_.push_back(c.rss * derate);
       solo_airtime_.push_back(
           solo_airtime(c, adapter, options.packet_bits));
-      if (options.enable_multirate) {
-        derated_clean_rate_.push_back(
-            adapter.rate(derated_rss_.back() / noise_));
-      }
+      derated_clean_rate_.push_back(
+          adapter.rate(derated_rss_.back() / noise_));
     }
   }
 
   [[nodiscard]] double solo(std::size_t c) const { return solo_airtime_[c]; }
 
   /// Plans client \p i against every client j > i into row[j], in three
-  /// passes: (1) stronger/weaker normalization and both SIC SINRs,
-  /// (2) one rate_span() call for both SIC rates of every pair (a single
-  /// virtual dispatch per row), (3) select_plan on those rates. Only
-  /// power control looks up further rates, and only for pairs whose
-  /// stronger client is the strict bottleneck at full power.
+  /// passes: (1) stronger/weaker normalization and the stronger client's
+  /// SIC SINR, (2) one rate_span() call for those rates (a single virtual
+  /// dispatch per row), (3) select_plan on them and the weaker client's
+  /// SIC rate, which decodes against noise alone and so is its
+  /// per-client clean rate. Only power control looks up further rates,
+  /// and only for pairs whose stronger client is the strict bottleneck at
+  /// full power.
   void plan_row(std::size_t i, std::span<PairPlan> row) {
     const std::size_t first = i + 1;
     const std::size_t count = row.size() - first;
@@ -92,11 +92,11 @@ class PairKernel {
     SIC_CHECK_MSG(noise_.value() > 0.0, "noise floor must be positive");
     const double noise_mw = noise_.value();
 
-    // Pass 1. Lanes [0, count) hold the stronger SINRs, [count, 2·count)
-    // the weaker. The (s1 >= s2 → s1 is stronger) rule with s1 the lower
-    // client index is TwoSignalArrival::make's.
-    sinr_.resize(2 * count);
-    rates_.resize(2 * count);
+    // Pass 1. Lane t holds pair (i, first + t)'s stronger SINR. The
+    // (s1 >= s2 → s1 is stronger) rule with s1 the lower client index is
+    // TwoSignalArrival::make's.
+    sinr_.resize(count);
+    rates_.resize(count);
     const double s1 = derated_rss_[i].value();
     for (std::size_t t = 0; t < count; ++t) {
       const double s2 = derated_rss_[first + t].value();
@@ -104,7 +104,6 @@ class PairKernel {
       const double stronger = s1 >= s2 ? s1 : s2;
       const double weaker = s1 >= s2 ? s2 : s1;
       sinr_[t] = stronger / (weaker + noise_mw);
-      sinr_[count + t] = weaker / noise_mw;
     }
 
     // Pass 2.
@@ -116,12 +115,13 @@ class PairKernel {
       const bool i_stronger =
           derated_rss_[i].value() >= derated_rss_[j].value();
       const std::size_t stronger = i_stronger ? i : j;
-      const SicRatePair rates{rates_[t], rates_[count + t]};
+      const std::size_t weaker = i_stronger ? j : i;
+      const SicRatePair rates{rates_[t], derated_clean_rate_[weaker]};
       PowerControlResult pc;
       if (search_) {
         pc = search_->optimize(
             phy::TwoSignalArrival{derated_rss_[stronger],
-                                  derated_rss_[i_stronger ? j : i], noise_},
+                                  derated_rss_[weaker], noise_},
             rates);
       }
       row[j] = select_plan(solo_airtime_[i] + solo_airtime_[j], rates, pc,
@@ -144,10 +144,10 @@ class PairKernel {
   Milliwatts noise_;
   std::vector<Milliwatts> derated_rss_;  ///< rss × margin derate
   std::vector<double> solo_airtime_;     ///< clean solo airtime
-  /// Clean rate of the derated RSS, kept only with multirate on: the rate
-  /// a lagging stronger client switches to.
+  /// Clean rate of the derated RSS: a weaker client's SIC rate, and with
+  /// multirate on the rate a lagging stronger client switches to.
   std::vector<BitsPerSecond> derated_clean_rate_;
-  std::vector<double> sinr_;            ///< row scratch: both SINR lanes
+  std::vector<double> sinr_;            ///< row scratch: stronger SINRs
   std::vector<BitsPerSecond> rates_;    ///< row scratch: rate_span results
   std::optional<WeakerPowerSearch> search_;
 };

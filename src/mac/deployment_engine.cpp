@@ -58,6 +58,21 @@ void erase_member(std::vector<int>& members, int client) {
   members.erase(it);
 }
 
+/// Draws \p n epoch-drift innovations from \p rng into \p out: the one
+/// routine behind both the draws made a serve phase ahead and those made
+/// in place.
+void draw_drift(const DeploymentEngineConfig& config, Rng& rng,
+                std::size_t n, std::vector<double>& out) {
+  const double rho = config.epoch_drift_rho;
+  const double innovation = std::sqrt(std::max(0.0, 1.0 - rho * rho));
+  const double sd = innovation * config.epoch_drift_sigma.value();
+  // Exact growth, not doubling: the buffer lives as long as the engine,
+  // and arrivals would otherwise raise the peak heap.
+  out.reserve(n);
+  out.resize(n);
+  for (double& draw : out) draw = rng.normal(0.0, sd);
+}
+
 /// Ladder level 3: serial solo slots in member order, no matching.
 core::Schedule serial_schedule(std::span<const channel::LinkBudget> budgets,
                                const phy::RateAdapter& adapter,
@@ -301,9 +316,9 @@ std::uint64_t DeploymentEngine::epoch_seed(std::uint64_t seed, int ap,
   return SplitMix64{seed ^ stream}.next();
 }
 
-Rng DeploymentEngine::epoch_rng() const {
+Rng DeploymentEngine::epoch_rng(int epoch) const {
   return Rng::at(config_.seed ^ kEngineStream,
-                 static_cast<std::uint64_t>(epoch_));
+                 static_cast<std::uint64_t>(epoch));
 }
 
 int DeploymentEngine::add_client(topology::Point position) {
@@ -312,6 +327,7 @@ int DeploymentEngine::add_client(topology::Point position) {
   clients_.push_back(c);
   client_x_.push_back(position.x);
   client_y_.push_back(position.y);
+  ++population_version_;
   return static_cast<int>(clients_.size()) - 1;
 }
 
@@ -320,6 +336,7 @@ void DeploymentEngine::remove_client(int client) {
   ClientState& c = clients_[static_cast<std::size_t>(client)];
   if (!c.active) return;
   c.active = false;
+  ++population_version_;
   c.quarantined = false;
   c.quarantined_from = -1;
   if (c.ap >= 0) {
@@ -471,7 +488,7 @@ void DeploymentEngine::associate_clients(EpochStats& stats,
   }
 }
 
-void DeploymentEngine::serve_ap(ApState& ap) {
+void DeploymentEngine::serve_ap(ApState& ap, std::span<int> served_by) {
   if (ap.dirty) {
     // Re-estimation: the AP measures every member's channel fresh, and
     // each member's planning RSS is computed once for the epochs until
@@ -521,6 +538,21 @@ void DeploymentEngine::serve_ap(ApState& ap) {
   if (any_offset) run.faults.initial_drift.swap(offsets);
   ap.last = run_scheduled_upload(budgets, *adapter_, ap.schedule, run);
   if (any_offset) offsets.swap(run.faults.initial_drift);
+
+  // Member bookkeeping: each update reads only this client's own result.
+  for (std::size_t i = 0; i < ap.sched_members.size(); ++i) {
+    const int m = ap.sched_members[i];
+    ClientState& c = clients_[static_cast<std::size_t>(m)];
+    const std::uint64_t lost = i < ap.last.unrecovered_per_client.size()
+                                   ? ap.last.unrecovered_per_client[i]
+                                   : 0;
+    if (lost > 0) {
+      ++c.fail_streak;
+    } else {
+      c.fail_streak = 0;
+    }
+    if (!served_by.empty()) served_by[static_cast<std::size_t>(m)] = ap.id;
+  }
 }
 
 void DeploymentEngine::score_health(const std::vector<int>& serving,
@@ -578,19 +610,29 @@ void DeploymentEngine::score_health(const std::vector<int>& serving,
 EpochStats DeploymentEngine::run_epoch() {
   EpochStats stats;
   stats.epoch = epoch_;
-  Rng rng = epoch_rng();
 
-  // 1. Epoch-scale channel drift, client-id order (sequential: one
-  //    deterministic draw stream regardless of thread count).
-  if (config_.epoch_drift_sigma > Decibels{0.0}) {
+  // 1. Epoch-scale channel drift, client-id order, one innovation per
+  //    active client from the head of the epoch stream. Last epoch's serve
+  //    phase drew them ahead (step 6) unless the population changed since;
+  //    then they are drawn here, by the same routine.
+  const bool drifting = config_.epoch_drift_sigma > Decibels{0.0};
+  const bool carried = drifting && drift_carry_.epoch == epoch_ &&
+                       drift_carry_.population == population_version_;
+  Rng rng = carried ? drift_carry_.rng : epoch_rng(epoch_);
+  if (drifting) {
+    if (!carried) {
+      draw_drift(config_, rng, static_cast<std::size_t>(active_clients()),
+                 drift_carry_.draws);
+    }
     const double rho = config_.epoch_drift_rho;
-    const double innovation = std::sqrt(std::max(0.0, 1.0 - rho * rho));
+    const std::vector<double>& draws = drift_carry_.draws;
+    std::size_t k = 0;
     for (ClientState& c : clients_) {
       if (!c.active) continue;
-      c.drift = Decibels{
-          rho * c.drift.value() +
-          rng.normal(0.0, innovation * config_.epoch_drift_sigma.value())};
+      SIC_CHECK(k < draws.size());
+      c.drift = Decibels{rho * c.drift.value() + draws[k++]};
     }
+    SIC_CHECK(k == draws.size());
   }
 
   // 2. Scheduled restarts and burst expiry.
@@ -660,7 +702,9 @@ EpochStats DeploymentEngine::run_epoch() {
   // 6. Serve every live AP with members — in parallel over APs, each
   //    with a scratch metrics registry and, when a trace sink is
   //    attached, a trace shard, merged back in AP order so counter maps
-  //    and traces are identical at any thread count.
+  //    and traces are identical at any thread count. Task 0, claimed
+  //    first, draws the next epoch's drift innovations: the population
+  //    they are for is already final, and nothing else reads the carry.
   std::vector<int> serving;
   for (const ApState& ap : aps_) {
     if (ap.alive && !ap.members.empty()) serving.push_back(ap.id);
@@ -670,12 +714,23 @@ EpochStats DeploymentEngine::run_epoch() {
   std::vector<std::unique_ptr<obs::MetricsRegistry>> scratch(aps_.size());
   std::vector<std::unique_ptr<obs::TraceSink>> shards(
       caller_trace != nullptr ? aps_.size() : 0);
+  std::vector<int> served_by;
+  if (auditor_ != nullptr) served_by.assign(clients_.size(), -1);
+  const std::int64_t ahead = drifting ? 1 : 0;
+  drift_carry_.epoch = -1;  // a serve task that throws leaves no carry
   pool_->parallel_for(
-      static_cast<std::int64_t>(serving.size()), 1,
+      static_cast<std::int64_t>(serving.size()) + ahead, 1,
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t k = begin; k < end; ++k) {
-          ApState& ap =
-              aps_[static_cast<std::size_t>(serving[static_cast<std::size_t>(k)])];
+          if (k < ahead) {
+            drift_carry_.rng = epoch_rng(epoch_ + 1);
+            draw_drift(config_, drift_carry_.rng,
+                       static_cast<std::size_t>(stats.active_clients),
+                       drift_carry_.draws);
+            continue;
+          }
+          ApState& ap = aps_[static_cast<std::size_t>(
+              serving[static_cast<std::size_t>(k - ahead)])];
           const std::size_t id = static_cast<std::size_t>(ap.id);
           obs::MetricsRegistry* prev = nullptr;
           obs::TraceSink* prev_trace = nullptr;
@@ -687,11 +742,15 @@ EpochStats DeploymentEngine::run_epoch() {
             shards[id] = std::make_unique<obs::TraceSink>();
             prev_trace = obs::set_trace(shards[id].get());
           }
-          serve_ap(ap);
+          serve_ap(ap, served_by);
           if (caller != nullptr) (void)obs::set_metrics(prev);
           if (caller_trace != nullptr) (void)obs::set_trace(prev_trace);
         }
       });
+  if (drifting) {
+    drift_carry_.epoch = epoch_ + 1;
+    drift_carry_.population = population_version_;
+  }
   for (const int id : serving) {
     const std::size_t i = static_cast<std::size_t>(id);
     if (caller != nullptr && scratch[i] != nullptr) {
@@ -702,9 +761,8 @@ EpochStats DeploymentEngine::run_epoch() {
     }
   }
 
-  // 7. Aggregate, then audit the epoch exactly as executed.
-  std::vector<int> served_by;
-  if (auditor_ != nullptr) served_by.assign(clients_.size(), -1);
+  // 7. Aggregate (each serve task already did its members' bookkeeping),
+  //    then audit the epoch exactly as executed.
   for (const int id : serving) {
     ApState& ap = aps_[static_cast<std::size_t>(id)];
     stats.offered += ap.last.offered;
@@ -713,19 +771,6 @@ EpochStats DeploymentEngine::run_epoch() {
     if (ap.rematched_this_epoch) {
       ++stats.rematched_aps;
       ap.rematched_this_epoch = false;
-    }
-    for (std::size_t i = 0; i < ap.sched_members.size(); ++i) {
-      const int m = ap.sched_members[i];
-      ClientState& c = clients_[static_cast<std::size_t>(m)];
-      const std::uint64_t lost = i < ap.last.unrecovered_per_client.size()
-                                     ? ap.last.unrecovered_per_client[i]
-                                     : 0;
-      if (lost > 0) {
-        ++c.fail_streak;
-      } else {
-        c.fail_streak = 0;
-      }
-      if (auditor_ != nullptr) served_by[static_cast<std::size_t>(m)] = id;
     }
   }
   stats.confirmed = stats.offered - stats.unrecovered;
@@ -856,6 +901,7 @@ EpochStats DeploymentEngine::run_epoch() {
         static_cast<std::uint64_t>(stats.ladder_steps));
     reg->counter("deploy.watchdog_fires").inc(
         static_cast<std::uint64_t>(stats.watchdog_fires));
+    reg->counter("deploy.drift.carried").inc(carried ? 1 : 0);
     // Stamped with the epoch so parallel-chunk merges keep the newest
     // epoch's value regardless of merge order (see Gauge::merge_from).
     reg->gauge("deploy.mean_health")

@@ -32,20 +32,25 @@
 ///
 /// Determinism: every stochastic stream is counter-based (util/rng.hpp
 /// Rng::at). Engine-level draws (drift steps, chaos resolution, arrival
-/// placement) happen sequentially on the calling thread from one
-/// per-epoch substream; each AP-epoch's inner run gets its own substream
-/// (epoch_seed). The two parallel phases are both order-invariant: the
-/// association score phase writes index-addressed proposals against a
-/// start-of-epoch snapshot (mac/association.hpp) and the serve phase only
-/// ever runs whole APs, with per-AP scratch metric registries merged in
-/// AP order — so results and obs counter maps are bit-identical for any
-/// thread count. With one AP
+/// placement) come in that order from one per-epoch substream; each
+/// AP-epoch's inner run gets its own substream (epoch_seed). The drift
+/// steps of epoch e + 1 are drawn by one extra task of epoch e's serve
+/// phase, and the stream continues from there into e + 1's chaos and
+/// arrival draws on the calling thread; those draws are a cache keyed by
+/// the epoch and the population version (add_client, remove_client), made
+/// in place on a miss, so they cannot move a result. The two parallel
+/// phases are both order-invariant: the association score phase writes
+/// index-addressed proposals against a start-of-epoch snapshot
+/// (mac/association.hpp) and the serve phase only ever runs whole APs,
+/// with per-AP scratch metric registries merged in AP order — so results
+/// and obs counter maps are bit-identical for any thread count. With one AP
 /// and no chaos, an epoch is bit-identical to planning with
 /// core::schedule_upload and executing with run_scheduled_upload directly
 /// (pinned in tests/deployment_engine_test.cpp).
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +60,7 @@
 #include "mac/chaos.hpp"
 #include "mac/upload_sim.hpp"
 #include "topology/geometry.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sic::mac {
@@ -246,6 +252,8 @@ class DeploymentEngine {
   /// client associates at the next epoch's handoff pass.
   int add_client(topology::Point position);
   /// Deactivates a client between epochs (departure); its AP re-matches.
+  /// Both edits change the population version, so the next epoch draws
+  /// its drift in place rather than using the draws made ahead of it.
   void remove_client(int client);
 
   /// Attach (or detach with nullptr) the epoch invariant auditor. When
@@ -288,7 +296,17 @@ class DeploymentEngine {
   struct ApState;
   struct ClientState;
 
-  [[nodiscard]] Rng epoch_rng() const;
+  /// Drift innovations for epoch `epoch`, one per client active at
+  /// population version `population`, in client-id order, and the epoch
+  /// stream positioned after them.
+  struct DriftCarry {
+    int epoch = -1;  ///< -1: nothing carried
+    std::uint64_t population = 0;
+    std::vector<double> draws;
+    Rng rng{0};
+  };
+
+  [[nodiscard]] Rng epoch_rng(int epoch) const;
   [[nodiscard]] core::SchedulerOptions ladder_options(int level) const;
   void apply_chaos(const EpochChaos& chaos, EpochStats& stats);
   /// Two-phase association pass: a parallel score phase over the
@@ -300,7 +318,11 @@ class DeploymentEngine {
   void associate_clients(EpochStats& stats, std::vector<int>& handoff_flux);
   void score_health(const std::vector<int>& serving,
                     const std::vector<int>& handoff_flux, EpochStats& stats);
-  void serve_ap(ApState& ap);
+  /// Plans (when dirty) and runs one AP-epoch, then updates each member's
+  /// fail streak and, when audited, its \p served_by slot (empty when
+  /// not). Members of serving APs are disjoint, so APs may run
+  /// concurrently.
+  void serve_ap(ApState& ap, std::span<int> served_by);
   void audit_epoch(const EpochStats& stats,
                    const std::vector<int>& served_by) const;
 
@@ -327,6 +349,10 @@ class DeploymentEngine {
   /// phase re-scores only clients whose inputs moved
   /// (AssociationPlanner::replan).
   ProposalCarry assoc_carry_;
+  /// Bumped by every add_client and every remove_client that deactivates.
+  std::uint64_t population_version_ = 0;
+  /// Next epoch's drift draws, made during this epoch's serve phase.
+  DriftCarry drift_carry_;
   InvariantAuditor* auditor_ = nullptr;
   int epoch_ = 0;
   int storm_until_ = 0;  ///< churn multiplier active while epoch_ < this

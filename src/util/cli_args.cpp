@@ -91,6 +91,13 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     }
     Entry entry;
     entry.name = token.substr(2);
+    // A repeat would otherwise be read as the first value and reported
+    // only as an unused flag after the run.
+    for (const Entry& seen : entries_) {
+      if (seen.name == entry.name) {
+        throw UsageError("flag --" + entry.name + " given more than once");
+      }
+    }
     if (i + 1 < argc && !is_flag(argv[i + 1])) {
       entry.value = std::string(argv[i + 1]);
       i += 2;

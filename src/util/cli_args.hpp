@@ -25,7 +25,8 @@ class ArgParser {
  public:
   /// Parses argv[1..): a leading non-flag token becomes the command();
   /// the rest are `--name [value]` pairs (a flag followed by another flag
-  /// or nothing is boolean).
+  /// or nothing is boolean). Throws UsageError on a stray token and on a
+  /// flag given twice.
   ArgParser(int argc, const char* const* argv);
 
   [[nodiscard]] const std::string& command() const { return command_; }

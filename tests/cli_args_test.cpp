@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace sic {
 namespace {
@@ -146,6 +147,24 @@ TEST(ArgParser, UnknownFlagDetection) {
   const auto unknown = p.unknown_flags();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "typo");
+}
+
+TEST(ArgParser, RepeatedFlagRejected) {
+  // Valued or boolean, a flag's second occurrence is a usage error; the
+  // first value is never silently kept.
+  EXPECT_TRUE(rejects("clients", [] {
+    return parse({"schedule", "--clients", "20,10", "--clients", "5,3"});
+  }));
+  EXPECT_TRUE(rejects("epochs", [] {
+    return parse({"deploy", "--epochs", "30", "--seed", "2", "--epochs", "5"});
+  }));
+  EXPECT_TRUE(rejects("open-loop", [] {
+    return parse({"deploy", "--open-loop", "--open-loop"});
+  }));
+  // Distinct flags that share a prefix are not repeats.
+  const auto p = parse({"x", "--seed", "1", "--seeds", "3"});
+  EXPECT_EQ(p.get_u64("seed", 0), 1u);
+  EXPECT_EQ(p.get_int("seeds", 0), 3);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 /// recorded value, so any change to event order, decode verdicts, RNG draw
 /// order or result accounting in mac/ shows up as a digest mismatch. The
 /// grids cover both executors, Shannon and 802.11g rates, plain and
-/// power-control + multirate plans, every injected fault class, and two
-/// chaotic multi-AP deployments: load-aware and strongest-AP association.
+/// power-control + multirate plans, every injected fault class, and three
+/// chaotic multi-AP deployments: load-aware and strongest-AP association,
+/// and one whose population the caller edits between epochs.
 ///
 /// A deliberate behaviour change re-records the constants: run the suite,
 /// read the "actual" digest from the failure message, and say why in the
@@ -159,6 +160,7 @@ constexpr std::uint64_t kScheduledDigest = 0x25d0e5ce8118549dULL;
 constexpr std::uint64_t kDcfDigest = 0x0daf3d53239e55c2ULL;
 constexpr std::uint64_t kEngineDigest = 0x038420f3c44b974dULL;
 constexpr std::uint64_t kStrongestApDigest = 0x3a5bdb6af199968eULL;
+constexpr std::uint64_t kPopulationEditsDigest = 0xa144887eaddfac03ULL;
 
 TEST(UploadSim, SeededRunsMatchRecordedDigest) {
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
@@ -366,6 +368,92 @@ TEST(DeploymentEngine, StrongestApEpochsMatchRecordedDigest) {
     EXPECT_GT(handoffs, 0);
     EXPECT_GE(steady_epochs, 10);
     EXPECT_EQ(d.value(), kStrongestApDigest)
+        << "threads " << threads << std::hex << " actual 0x" << d.value();
+  }
+}
+
+TEST(DeploymentEngine, BetweenEpochPopulationEditsMatchRecordedDigest) {
+  // The caller edits the population between epochs: at one boundary it
+  // removes one client and adds one, at others it adds two or removes
+  // three, and every fourth boundary leaves it alone. Epoch drift (1 dB),
+  // bursts, departures and arrivals all draw from the engine's epoch
+  // stream, so the digest pins both the drift each active client gets and
+  // every draw after it. Every thread count must produce the same digest,
+  // and the auditor must find every epoch conserved.
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  ChaosProfile profile;
+  profile.burst_prob = 0.05;
+  profile.burst_epochs = 2;
+  profile.departure_prob = 0.005;
+  profile.arrival_rate = 1.0;
+  std::vector<topology::Point> sites;
+  for (int i = 0; i < 9; ++i) {
+    sites.push_back({50.0 * (i % 3), 50.0 * (i / 3)});
+  }
+  for (const int threads : {1, 4, 7}) {
+    DeploymentEngineConfig config;
+    config.epoch_drift_sigma = Decibels{1.0};
+    config.upload.faults.stale_rss_sigma = Decibels{2.0};
+    config.threads = threads;
+    config.seed = 29;
+    DeploymentEngine engine{sites, shannon, config, FaultSchedule{profile}};
+    InvariantAuditor auditor;
+    engine.set_auditor(&auditor);
+    Rng edits{config.seed};
+    const auto spot = [&edits] {
+      return topology::Point{edits.uniform(-20.0, 120.0),
+                             edits.uniform(-20.0, 120.0)};
+    };
+    int clients = 0;  // ids are dense: one past the largest so far
+    while (clients < 160) clients = engine.add_client(spot()) + 1;
+    const auto remove_one = [&] {
+      for (;;) {
+        const int c = edits.uniform_int(0, clients - 1);
+        if (engine.client_active(c)) {
+          engine.remove_client(c);
+          return;
+        }
+      }
+    };
+
+    Fnv1a d;
+    std::uint64_t transmissions = 0;
+    int departures = 0;
+    int arrivals = 0;
+    int bursts = 0;
+    for (int e = 0; e < 24; ++e) {
+      const EpochStats s = engine.run_epoch();
+      transmissions += fold_epoch(d, s, engine);
+      departures += s.departures;
+      arrivals += s.arrivals;
+      bursts += s.bursts_started;
+      clients += s.arrivals;
+      for (int c = 0; c < clients; ++c) {
+        d.word(static_cast<std::uint64_t>(engine.assignment(c) + 1));
+      }
+      switch (e % 4) {
+        case 1:
+          remove_one();
+          clients = engine.add_client(spot()) + 1;
+          break;
+        case 2:
+          (void)engine.add_client(spot());
+          clients = engine.add_client(spot()) + 1;
+          break;
+        case 3:
+          for (int k = 0; k < 3; ++k) remove_one();
+          break;
+        default:
+          break;
+      }
+    }
+    EXPECT_GT(transmissions, 0u);
+    EXPECT_GT(departures, 0);
+    EXPECT_GT(arrivals, 0);
+    EXPECT_GT(bursts, 0);
+    EXPECT_EQ(auditor.epochs_checked(), 24u);
+    EXPECT_TRUE(auditor.ok());
+    EXPECT_EQ(d.value(), kPopulationEditsDigest)
         << "threads " << threads << std::hex << " actual 0x" << d.value();
   }
 }

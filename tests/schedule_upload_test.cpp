@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/power_control.hpp"
@@ -260,6 +262,112 @@ TEST(ScheduleUpload, PublishesPowerControlSearchCountsPerBuild) {
   (void)obs::set_metrics(previous);
   for (const auto& [name, value] : off.counter_values()) {
     EXPECT_EQ(name.find("pc_"), std::string::npos) << name;
+  }
+}
+
+/// Largest pair gain, serial sum minus pair airtime, that the matcher's
+/// gain graph quantises against.
+double top_gain(std::span<const channel::LinkBudget> clients,
+                const phy::RateAdapter& adapter,
+                const SchedulerOptions& options) {
+  double top = 0.0;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    for (std::size_t j = i + 1; j < clients.size(); ++j) {
+      const double serial =
+          solo_airtime(clients[i], adapter, options.packet_bits) +
+          solo_airtime(clients[j], adapter, options.packet_bits);
+      top = std::max(
+          top, serial - best_pair_plan(clients[i], clients[j], adapter, options)
+                            .airtime);
+    }
+  }
+  return top;
+}
+
+/// How far two optimal schedules of one instance may differ in total
+/// airtime: the matcher's optima are exact on a grid of top gain · 2⁻²⁶
+/// (matching/blossom.hpp), so n · top gain · 2⁻²⁶ bounds the rounding of
+/// either pairing's gains, as in tests/matching_stress_test.cpp; n · ε of
+/// the total covers summing the slots in another order.
+double optimum_tolerance(std::size_t n, double top, double total) {
+  const double count = static_cast<double>(n);
+  return count * (top * std::ldexp(1.0, -26) +
+                  total * std::numeric_limits<double>::epsilon());
+}
+
+/// Metamorphic cells: seeded Shannon and 802.11g cells of 2 to 64 clients,
+/// at admission margins 0 and 3 dB.
+struct MetamorphicCell {
+  std::string what;
+  const phy::RateAdapter* adapter;
+  std::vector<channel::LinkBudget> clients;
+  Decibels margin;
+};
+
+std::vector<MetamorphicCell> metamorphic_cells() {
+  const std::pair<const char*, const phy::RateAdapter*> adapters[] = {
+      {"shannon", &kShannon}, {"dot11g", &kDot11g}};
+  std::vector<MetamorphicCell> cells;
+  Rng rng{1405};
+  for (const auto& [name, adapter] : adapters) {
+    for (const int n : {2, 3, 4, 5, 7, 8, 12, 16, 23, 32, 47, 64}) {
+      for (const double margin : {0.0, 3.0}) {
+        cells.push_back(MetamorphicCell{
+            std::string(name) + " n=" + std::to_string(n) +
+                " margin=" + std::to_string(margin),
+            adapter, random_clients(rng, n), Decibels{margin}});
+      }
+    }
+  }
+  return cells;
+}
+
+TEST(ScheduleUpload, RelabellingKeepsTotalAirtime) {
+  // Metamorphic: the optimum cannot depend on which index a client has.
+  Rng rng{1406};
+  for (const MetamorphicCell& cell : metamorphic_cells()) {
+    std::vector<channel::LinkBudget> relabelled = cell.clients;
+    std::shuffle(relabelled.begin(), relabelled.end(), rng.engine());
+    for (const auto& combo : kCombos) {
+      SchedulerOptions options;
+      options.enable_power_control = combo.power_control;
+      options.enable_multirate = combo.multirate;
+      options.admission_margin_db = cell.margin;
+      const Schedule a = schedule_upload(cell.clients, *cell.adapter, options);
+      const Schedule b = schedule_upload(relabelled, *cell.adapter, options);
+      EXPECT_NEAR(a.total_airtime, b.total_airtime,
+                  optimum_tolerance(
+                      cell.clients.size(),
+                      top_gain(cell.clients, *cell.adapter, options),
+                      a.total_airtime))
+          << cell.what << " " << combo.name;
+    }
+  }
+}
+
+TEST(ScheduleUpload, TechniquesNeverRaiseTotalAirtime) {
+  // Metamorphic: power control and multirate only add candidate plans to
+  // every pair, so turning either on never raises the optimum.
+  for (const MetamorphicCell& cell : metamorphic_cells()) {
+    double total[2][2] = {};
+    double top = 0.0;
+    for (const bool pc : {false, true}) {
+      for (const bool mr : {false, true}) {
+        SchedulerOptions options;
+        options.enable_power_control = pc;
+        options.enable_multirate = mr;
+        options.admission_margin_db = cell.margin;
+        total[pc][mr] =
+            schedule_upload(cell.clients, *cell.adapter, options).total_airtime;
+        top = std::max(top, top_gain(cell.clients, *cell.adapter, options));
+      }
+    }
+    const double tol =
+        optimum_tolerance(cell.clients.size(), top, total[0][0]);
+    EXPECT_LE(total[1][0], total[0][0] + tol) << cell.what << " +pc";
+    EXPECT_LE(total[0][1], total[0][0] + tol) << cell.what << " +mr";
+    EXPECT_LE(total[1][1], total[1][0] + tol) << cell.what << " pc, +mr";
+    EXPECT_LE(total[1][1], total[0][1] + tol) << cell.what << " mr, +pc";
   }
 }
 
