@@ -1,10 +1,18 @@
-/// Performance of the discrete-event MAC simulator, and the headline
-/// end-to-end ablation: backlogged upload under plain DCF (with and
-/// without an SIC-capable AP) versus the Section 6 scheduled upload, on
-/// the same medium model.
+/// Performance of the MAC simulators — the discrete-event medium that
+/// runs contention (run_dcf_upload) and the slot-timeline executor of a
+/// Section 6 schedule (run_scheduled_upload) — and the headline end-to-end
+/// ablation: backlogged upload under plain DCF (with and without an
+/// SIC-capable AP) versus the scheduled upload, on the same receiver
+/// model. Two summary keys gate the scheduled executor on the cell the
+/// deployment engine serves per AP and epoch: its frame throughput, and
+/// its exact heap allocations per run, which this file counts by
+/// replacing the global operator new.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "core/scheduler.hpp"
@@ -12,6 +20,22 @@
 #include "perf_util.hpp"
 #include "topology/samplers.hpp"
 #include "util/rng.hpp"
+
+/// Heap allocations made on this thread so far. Every new expression
+/// and allocator in the binary goes through the replacement below.
+thread_local std::uint64_t g_allocations = 0;
+
+// Out of line, so the compiler never pairs an inlined malloc() or free()
+// with the new or delete expression around it.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -111,29 +135,50 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueThroughput);
 
-/// Medium transmissions per second of run_scheduled_upload on a 40-client
-/// Shannon cell (AP-side SNRs uniform in [4, 36] dB) whose schedule was
-/// planned on estimates that are 4 dB stale: the run retransmits, demotes
-/// modes and re-matches, so the key times the whole closed-loop serve path
-/// the deployment engine runs per AP and epoch.
-double serve_frames_per_sec_n40() {
-  Rng rng{40};
+/// A 40-client Shannon cell (AP-side SNRs uniform in [4, 36] dB) whose
+/// schedule was planned on estimates that are 4 dB stale: the run
+/// retransmits, demotes modes and re-matches, so it exercises the whole
+/// closed-loop serve path the deployment engine runs per AP and epoch.
+struct StaleCell {
   std::vector<channel::LinkBudget> clients;
-  for (int i = 0; i < 40; ++i) {
-    clients.push_back(channel::LinkBudget{
-        Milliwatts{Decibels{rng.uniform(4.0, 36.0)}.linear()},
-        Milliwatts{1.0}});
-  }
-  const core::Schedule schedule = core::schedule_upload(clients, kShannon, {});
+  core::Schedule schedule;
   mac::UploadSimConfig config;
-  config.faults.stale_rss_sigma = Decibels{4.0};
+
+  StaleCell() {
+    Rng rng{40};
+    for (int i = 0; i < 40; ++i) {
+      clients.push_back(channel::LinkBudget{
+          Milliwatts{Decibels{rng.uniform(4.0, 36.0)}.linear()},
+          Milliwatts{1.0}});
+    }
+    schedule = core::schedule_upload(clients, kShannon, {});
+    config.faults.stale_rss_sigma = Decibels{4.0};
+  }
+  [[nodiscard]] mac::UploadSimResult run() const {
+    return mac::run_scheduled_upload(clients, kShannon, schedule, config);
+  }
+};
+
+/// Transmissions per second of run_scheduled_upload on the stale cell.
+double serve_frames_per_sec_n40() {
+  const StaleCell cell;
   std::uint64_t transmissions = 0;
   const double runs_per_sec = sic::bench::samples_per_sec([&] {
-    const auto result =
-        mac::run_scheduled_upload(clients, kShannon, schedule, config);
-    transmissions = result.medium.transmissions;
+    transmissions = cell.run().medium.transmissions;
   });
   return runs_per_sec * static_cast<double>(transmissions);
+}
+
+/// Heap allocations of one run_scheduled_upload call on the stale cell,
+/// after a warm-up call: exact for a given standard library.
+double serve_allocs_per_run_n40() {
+  const StaleCell cell;
+  benchmark::DoNotOptimize(cell.run().delivered);
+  const std::uint64_t before = g_allocations;
+  const mac::UploadSimResult result = cell.run();
+  const std::uint64_t allocations = g_allocations - before;
+  benchmark::DoNotOptimize(result.delivered);
+  return static_cast<double>(allocations);
 }
 
 }  // namespace
@@ -141,5 +186,6 @@ double serve_frames_per_sec_n40() {
 int main(int argc, char** argv) {
   return sic::bench::run_perf_main(
       "perf_mac_sim", argc, argv,
-      {{"serve_frames_per_sec_n40", serve_frames_per_sec_n40}});
+      {{"serve_frames_per_sec_n40", serve_frames_per_sec_n40},
+       {"serve_allocs_per_run_n40", serve_allocs_per_run_n40}});
 }

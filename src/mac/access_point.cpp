@@ -10,9 +10,7 @@ AccessPoint::AccessPoint(EventQueue& queue, Medium& medium, MacNodeId id)
     : queue_(&queue),
       medium_(&medium),
       id_(id),
-      per_source_(static_cast<std::size_t>(medium.n_nodes()), 0),
-      seen_head_(static_cast<std::size_t>(medium.n_nodes()), -1) {
-  seen_.reserve(static_cast<std::size_t>(medium.n_nodes()));
+      per_source_(static_cast<std::size_t>(medium.n_nodes()), 0) {
   ack_backlog_.reserve(2);  // the two ACKs of an SIC pair
   medium_->attach(id_, this);
 }
@@ -20,16 +18,6 @@ AccessPoint::AccessPoint(EventQueue& queue, Medium& medium, MacNodeId id)
 std::uint64_t AccessPoint::received_from(MacNodeId src) const {
   SIC_CHECK(src >= 0 && src < static_cast<MacNodeId>(per_source_.size()));
   return per_source_[static_cast<std::size_t>(src)];
-}
-
-bool AccessPoint::first_reception(MacNodeId src, std::uint64_t id) {
-  int& head = seen_head_[static_cast<std::size_t>(src)];
-  for (int i = head; i >= 0; i = seen_[static_cast<std::size_t>(i)].next) {
-    if (seen_[static_cast<std::size_t>(i)].id == id) return false;
-  }
-  seen_.push_back(SeenId{id, head});
-  head = static_cast<int>(seen_.size()) - 1;
-  return true;
 }
 
 void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
@@ -52,14 +40,10 @@ void AccessPoint::on_frame_received(const Frame& frame, bool decoded) {
     return;
   }
   if (frame.type != FrameType::kData) return;
-  // Non-final fragments (multirate packetization) complete no packet and
-  // solicit no ACK; the final fragment accounts for the whole packet.
-  if (!frame.final_fragment) return;
   ++stats_.data_received;
   if (frame.src >= 0 &&
       frame.src < static_cast<MacNodeId>(per_source_.size())) {
     ++per_source_[static_cast<std::size_t>(frame.src)];
-    if (!first_reception(frame.src, frame.id)) ++stats_.duplicate_data;
   }
   Frame ack;
   ack.id = (static_cast<std::uint64_t>(id_) << 48) | frame.id;

@@ -19,10 +19,6 @@ namespace sic::mac {
 struct ApStats {
   std::uint64_t data_received = 0;
   std::uint64_t acks_sent = 0;
-  /// Receptions of a (src, frame id) pair the AP had already decoded — a
-  /// retransmission whose original delivery succeeded but whose ACK never
-  /// made it back (the ACK-vs-latency tension the upload_sim note cites).
-  std::uint64_t duplicate_data = 0;
 };
 
 class AccessPoint : public MediumListener {
@@ -43,9 +39,6 @@ class AccessPoint : public MediumListener {
  private:
   void pump_acks();
 
-  /// Records that \p src delivered frame \p id; false if it had already.
-  bool first_reception(MacNodeId src, std::uint64_t id);
-
   EventQueue* queue_;
   Medium* medium_;
   MacNodeId id_;
@@ -54,16 +47,6 @@ class AccessPoint : public MediumListener {
   bool ack_scheduled_ = false;
   ApStats stats_;
   std::vector<std::uint64_t> per_source_;
-  /// Frame ids already received (retransmissions keep the original id, as
-  /// 802.11 retries keep their sequence number): one chain per source,
-  /// newest first, threaded through one pool. seen_head_[src] indexes the
-  /// source's newest entry, -1 when it has none.
-  struct SeenId {
-    std::uint64_t id;
-    int next;
-  };
-  std::vector<int> seen_head_;
-  std::vector<SeenId> seen_;
 };
 
 }  // namespace sic::mac

@@ -160,6 +160,26 @@ void InvariantAuditor::check(const EpochInvariants& inv) {
 // DeploymentEngine
 // ---------------------------------------------------------------------------
 
+void DeploymentEngineConfig::validate() const {
+  SIC_CHECK_MSG(quarantine_after >= 1,
+                "DeploymentEngineConfig::quarantine_after must be >= 1");
+  SIC_CHECK_MSG(quarantine_base_epochs >= 1,
+                "DeploymentEngineConfig::quarantine_base_epochs must be >= 1");
+  SIC_CHECK_MSG(ladder_recover_epochs >= 1,
+                "DeploymentEngineConfig::ladder_recover_epochs must be >= 1");
+  SIC_CHECK_MSG(watchdog_epochs >= 1,
+                "DeploymentEngineConfig::watchdog_epochs must be >= 1");
+  SIC_CHECK_MSG(std::isfinite(epoch_drift_sigma.value()) &&
+                    epoch_drift_sigma.value() >= 0.0,
+                "DeploymentEngineConfig::epoch_drift_sigma must be finite "
+                "and >= 0 dB");
+  SIC_CHECK_MSG(std::isfinite(arrival_radius_m) && arrival_radius_m >= 0.0,
+                "DeploymentEngineConfig::arrival_radius_m must be finite and "
+                ">= 0");
+  SIC_CHECK_MSG(upload.horizon > 0,
+                "DeploymentEngineConfig::upload.horizon must be > 0");
+}
+
 struct DeploymentEngine::ClientState {
   topology::Point position;
   bool active = true;
@@ -182,6 +202,8 @@ struct DeploymentEngine::ClientState {
 
 struct DeploymentEngine::ApState {
   int id = 0;
+  /// Active quarantined clients exiled from this AP (quarantined_from).
+  int exiles = 0;
   topology::Point site;
   bool alive = true;
   int down_until = 0;
@@ -192,6 +214,9 @@ struct DeploymentEngine::ApState {
   int allfail_streak = 0;
   bool dirty = true;  ///< re-estimate + re-match before next service
   bool rematched_this_epoch = false;
+  /// Members whose fail streak reached quarantine_after in this AP's last
+  /// serve: the only clients step 8 of run_epoch can exile.
+  int streaked = 0;
   std::vector<int> members;  ///< ascending client ids
   core::Schedule schedule;
   std::vector<int> sched_members;  ///< members the schedule indexes
@@ -222,6 +247,7 @@ DeploymentEngine::DeploymentEngine(std::vector<topology::Point> ap_sites,
                 "upload.faults.initial_drift is engine-owned; leave it empty");
   config_.upload.faults.validate();
   chaos_.profile().validate();
+  config_.validate();
   config_.scheduler.packet_bits = config_.upload.packet_bits;
   config_.scheduler.validate();
   config_.upload.recovery.enabled = config_.closed_loop;
@@ -338,13 +364,20 @@ void DeploymentEngine::remove_client(int client) {
   c.active = false;
   ++population_version_;
   c.quarantined = false;
-  c.quarantined_from = -1;
+  release_exile(c);
   if (c.ap >= 0) {
     ApState& ap = aps_[static_cast<std::size_t>(c.ap)];
     erase_member(ap.members, client);
     ap.dirty = true;
     c.ap = -1;
   }
+}
+
+void DeploymentEngine::release_exile(ClientState& c) {
+  if (c.quarantined_from >= 0) {
+    --aps_[static_cast<std::size_t>(c.quarantined_from)].exiles;
+  }
+  c.quarantined_from = -1;
 }
 
 const std::vector<int>& DeploymentEngine::ap_members(int ap) const {
@@ -540,6 +573,7 @@ void DeploymentEngine::serve_ap(ApState& ap, std::span<int> served_by) {
   if (any_offset) offsets.swap(run.faults.initial_drift);
 
   // Member bookkeeping: each update reads only this client's own result.
+  ap.streaked = 0;
   for (std::size_t i = 0; i < ap.sched_members.size(); ++i) {
     const int m = ap.sched_members[i];
     ClientState& c = clients_[static_cast<std::size_t>(m)];
@@ -547,7 +581,7 @@ void DeploymentEngine::serve_ap(ApState& ap, std::span<int> served_by) {
                                    ? ap.last.unrecovered_per_client[i]
                                    : 0;
     if (lost > 0) {
-      ++c.fail_streak;
+      if (++c.fail_streak >= config_.quarantine_after) ++ap.streaked;
     } else {
       c.fail_streak = 0;
     }
@@ -561,12 +595,6 @@ void DeploymentEngine::score_health(const std::vector<int>& serving,
   // Quarantine occupancy attributes each exiled client to the AP it was
   // exiled from; the AP's "population" is its current members plus those
   // exiles, so occupancy is the fraction of its flock it is failing.
-  std::vector<int> exiled(aps_.size(), 0);
-  for (const ClientState& c : clients_) {
-    if (c.active && c.quarantined && c.quarantined_from >= 0) {
-      ++exiled[static_cast<std::size_t>(c.quarantined_from)];
-    }
-  }
   double health_sum = 0.0;
   int scored = 0;
   for (const int id : serving) {
@@ -582,13 +610,10 @@ void DeploymentEngine::score_health(const std::vector<int>& serving,
                      : static_cast<double>(ap.last.failures.retransmissions) /
                            static_cast<double>(offered);
     const double population = static_cast<double>(
-        ap.members.size() +
-        static_cast<std::size_t>(exiled[static_cast<std::size_t>(id)]));
+        ap.members.size() + static_cast<std::size_t>(ap.exiles));
     const double occupancy =
-        population == 0.0
-            ? 0.0
-            : static_cast<double>(exiled[static_cast<std::size_t>(id)]) /
-                  population;
+        population == 0.0 ? 0.0
+                          : static_cast<double>(ap.exiles) / population;
     const double flux =
         static_cast<double>(handoff_flux[static_cast<std::size_t>(id)]) /
         static_cast<double>(std::max<std::size_t>(1, ap.members.size()));
@@ -678,7 +703,7 @@ EpochStats DeploymentEngine::run_epoch() {
         // still-hopeless link costs one epoch per probe instead of
         // another full quarantine_after streak.
         c.fail_streak = config_.quarantine_after - 1;
-        c.quarantined_from = -1;
+        release_exile(c);
         ++stats.readmissions;
         flight_event(epoch_, -1, static_cast<int>(&c - clients_.data()),
                      "quarantine.probe");
@@ -776,14 +801,27 @@ EpochStats DeploymentEngine::run_epoch() {
   stats.confirmed = stats.offered - stats.unrecovered;
   if (auditor_ != nullptr) audit_epoch(stats, served_by);
 
-  // 8. Quarantine decisions for next epoch (closed loop only).
+  // 8. Quarantine decisions for next epoch (closed loop only), in
+  //    client-id order. Only a serve can raise a fail streak, and a probe
+  //    leaves it below quarantine_after (>= 1), so the clients to exile
+  //    are members of the APs whose serve task counted one.
   if (config_.closed_loop && config_.enable_quarantine) {
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
-      ClientState& c = clients_[i];
-      if (!c.active || c.quarantined ||
-          c.fail_streak < config_.quarantine_after) {
-        continue;
+    std::vector<int> streaked;
+    for (const int id : serving) {
+      const ApState& ap = aps_[static_cast<std::size_t>(id)];
+      if (ap.streaked == 0) continue;
+      for (const int m : ap.members) {
+        if (clients_[static_cast<std::size_t>(m)].fail_streak >=
+            config_.quarantine_after) {
+          streaked.push_back(m);
+        }
       }
+    }
+    std::sort(streaked.begin(), streaked.end());
+    for (const int i : streaked) {
+      ClientState& c = clients_[static_cast<std::size_t>(i)];
+      SIC_CHECK(c.active && !c.quarantined &&
+                c.fail_streak >= config_.quarantine_after);
       c.quarantined = true;
       const int shift = std::min(c.quarantine_times, 10);
       c.quarantine_until =
@@ -793,13 +831,13 @@ EpochStats DeploymentEngine::run_epoch() {
       c.quarantined_from = c.ap;
       if (c.ap >= 0) {
         ApState& ap = aps_[static_cast<std::size_t>(c.ap)];
-        erase_member(ap.members, static_cast<int>(i));
+        ++ap.exiles;
+        erase_member(ap.members, i);
         ap.dirty = true;
         c.ap = -1;
       }
       ++stats.quarantines;
-      flight_event(epoch_, c.quarantined_from, static_cast<int>(i),
-                   "quarantine.enter",
+      flight_event(epoch_, c.quarantined_from, i, "quarantine.enter",
                    "until_epoch=" + std::to_string(c.quarantine_until) +
                        " times=" + std::to_string(c.quarantine_times));
     }

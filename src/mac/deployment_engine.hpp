@@ -164,6 +164,12 @@ struct DeploymentEngineConfig {
 
   int threads = 1;  ///< 0 = all hardware threads; results identical
   std::uint64_t seed = 1;
+
+  /// Throws CheckError naming the field when quarantine_after,
+  /// quarantine_base_epochs, ladder_recover_epochs or watchdog_epochs is
+  /// below 1, epoch_drift_sigma or arrival_radius_m is negative or not
+  /// finite, or upload.horizon is not positive.
+  void validate() const;
 };
 
 /// What one epoch did, for recovery-time curves and the auditor.
@@ -237,8 +243,9 @@ class DeploymentEngine {
  public:
   /// \p adapter must outlive the engine. Throws FaultConfigError on a
   /// malformed upload fault config or chaos profile, and CheckError on
-  /// malformed scheduler options (SchedulerOptions::validate, with
-  /// packet_bits taken from upload.packet_bits).
+  /// malformed engine settings (DeploymentEngineConfig::validate) or
+  /// scheduler options (SchedulerOptions::validate, with packet_bits
+  /// taken from upload.packet_bits).
   DeploymentEngine(std::vector<topology::Point> ap_sites,
                    const phy::RateAdapter& adapter,
                    const DeploymentEngineConfig& config,
@@ -325,6 +332,8 @@ class DeploymentEngine {
   void serve_ap(ApState& ap, std::span<int> served_by);
   void audit_epoch(const EpochStats& stats,
                    const std::vector<int>& served_by) const;
+  /// Clears \p c 's exile attribution, uncounting it from its AP.
+  void release_exile(ClientState& c);
 
   const phy::RateAdapter* adapter_;
   DeploymentEngineConfig config_;

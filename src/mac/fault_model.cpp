@@ -87,11 +87,10 @@ void FaultModel::advance_epoch() {
   for (auto& track : tracks_) (void)track.step(rng());
 }
 
-bool FaultModel::should_fail_decode(const Frame& frame, bool sic_path) {
-  if (!sic_path || frame.type != FrameType::kData) return false;
+bool FaultModel::cancellation_fails(std::uint64_t frame_id) {
   if (config_.cancellation_failure_prob <= 0.0) return false;
   if (!rng().chance(config_.cancellation_failure_prob)) return false;
-  injected_.push_back(frame.id);
+  injected_.push_back(frame_id);
   return true;
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "channel/fading.hpp"
-#include "mac/frame.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -112,12 +111,11 @@ class FaultModel {
   /// step stale by the time the re-matched slots fly.
   void advance_epoch();
 
-  /// Medium decode-fault hook: decides whether to force-fail an
-  /// otherwise-successful decode of \p frame. \p sic_path is true when the
-  /// decode went through cancellation (the weaker signal of a collision);
-  /// only that path is vulnerable to cancellation failures. Injected frame
-  /// ids are recorded for cause attribution until clear_injections().
-  [[nodiscard]] bool should_fail_decode(const Frame& frame, bool sic_path);
+  /// Rolls a cancellation failure for data frame \p frame_id, which the
+  /// AP just decoded through cancellation (the weaker signal of a
+  /// collision, the only path vulnerable to it). Injected frame ids are
+  /// recorded for cause attribution until clear_injections().
+  [[nodiscard]] bool cancellation_fails(std::uint64_t frame_id);
 
   /// Whether \p frame_id 's failure this slot was injected by the model
   /// (as opposed to a genuine rate miss).

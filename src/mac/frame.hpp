@@ -25,10 +25,6 @@ struct Frame {
   double payload_bits = 0.0;
   /// For ACKs: the data frame being acknowledged.
   std::uint64_t acked_frame_id = 0;
-  /// Multirate packetization (Section 5.3) splits one packet into
-  /// fragments sent at different rates; only the final fragment completes
-  /// the packet (and solicits the ACK).
-  bool final_fragment = true;
   /// Virtual-carrier-sense reservation (RTS/CTS): overhearers defer this
   /// long past the frame's end. 0 = no reservation.
   std::int64_t nav_duration_ns = 0;

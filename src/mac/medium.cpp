@@ -77,7 +77,7 @@ bool Medium::is_receiving(MacNodeId node) const {
 
 SimTime Medium::frame_duration(const Frame& frame, BitsPerSecond rate) const {
   SIC_CHECK_MSG(rate.value() > 0.0, "cannot transmit at zero rate");
-  return phy_.preamble + from_seconds(frame.payload_bits / rate.value());
+  return PhyParams::airtime(frame.payload_bits, rate);
 }
 
 void Medium::transmit(const Frame& frame, BitsPerSecond rate,
@@ -108,15 +108,17 @@ const Medium::Transmission& Medium::find_tx(std::uint64_t key) const {
 
 namespace {
 
-enum class DecodeVerdict {
-  kCleanOk,
-  kCaptureOk,
-  kSicOk,
-  kFailClean,
-  kFailCollision,
-  kFailHalfDuplex,
-  kFailNoDestination,
-};
+const char* frame_type_name(FrameType t) {
+  switch (t) {
+    case FrameType::kData: return "data";
+    case FrameType::kAck: return "ack";
+    case FrameType::kRts: return "rts";
+    case FrameType::kCts: return "cts";
+  }
+  return "?";
+}
+
+}  // namespace
 
 const char* to_string(DecodeVerdict v) {
   switch (v) {
@@ -131,17 +133,70 @@ const char* to_string(DecodeVerdict v) {
   return "?";
 }
 
-const char* frame_type_name(FrameType t) {
-  switch (t) {
-    case FrameType::kData: return "data";
-    case FrameType::kAck: return "ack";
-    case FrameType::kRts: return "rts";
-    case FrameType::kCts: return "cts";
+DecodeVerdict decode_verdict(const phy::RateAdapter& adapter,
+                             const phy::SicDecoder& decoder,
+                             Milliwatts noise, Arrival frame,
+                             const Arrival* interferer) {
+  if (interferer == nullptr) {
+    return adapter.feasible(frame.rate, frame.rss / noise)
+               ? DecodeVerdict::kCleanOk
+               : DecodeVerdict::kFailClean;
   }
-  return "?";
+  if (frame.rss >= interferer->rss) {
+    return adapter.feasible(frame.rate, frame.rss / (interferer->rss + noise))
+               ? DecodeVerdict::kCaptureOk
+               : DecodeVerdict::kFailCollision;
+  }
+  const auto arrival =
+      phy::TwoSignalArrival::make(interferer->rss, frame.rss, noise);
+  return decoder.decode(arrival, interferer->rate, frame.rate).weaker_decoded
+             ? DecodeVerdict::kSicOk
+             : DecodeVerdict::kFailCollision;
 }
 
-}  // namespace
+void MediumStats::record(DecodeVerdict v) {
+  switch (v) {
+    case DecodeVerdict::kCleanOk: ++delivered; break;
+    case DecodeVerdict::kCaptureOk:
+      ++delivered;
+      ++capture_decodes;
+      break;
+    case DecodeVerdict::kSicOk:
+      ++delivered;
+      ++sic_decodes;
+      break;
+    case DecodeVerdict::kFailClean: ++failed_clean; break;
+    case DecodeVerdict::kFailHalfDuplex:
+    case DecodeVerdict::kFailCollision: ++failed_collision; break;
+    case DecodeVerdict::kFailNoDestination: break;
+  }
+}
+
+void report_frame(const Frame& frame, BitsPerSecond rate, SimTime start,
+                  SimTime end, DecodeVerdict verdict,
+                  std::size_t interferers) {
+  // Frame-fate diagnostics, formerly the SICMAC_MEDIUM_LOG env toggle:
+  // now --log-level debug / SICMAC_LOG_LEVEL=debug.
+  SIC_LOG_DEBUG(
+      "medium %9.1fus %-4s src=%d dst=%d bits=%.0f rate=%.2fMbps "
+      "start=%.1fus verdict=%s interferers=%zu",
+      to_seconds(end) * 1e6, frame_type_name(frame.type), frame.src,
+      frame.dst, frame.payload_bits, rate.megabits(),
+      to_seconds(start) * 1e6, to_string(verdict), interferers);
+  // Every transmission becomes a span on its sender's track, its decode
+  // verdict an annotation — this is what makes a faulty round visible on
+  // the Perfetto timeline.
+  if (obs::TraceSink* sink = obs::trace()) {
+    const double start_us = to_seconds(start) * 1e6;
+    const double dur_us = to_seconds(end - start) * 1e6;
+    sink->complete(frame_type_name(frame.type), start_us, dur_us, frame.src,
+                   obs::TraceSink::Args{
+                       {"dst", std::to_string(frame.dst)},
+                       {"verdict", to_string(verdict)},
+                       {"interferers", std::to_string(interferers)},
+                   });
+  }
+}
 
 void Medium::finish(std::uint64_t key) {
   const auto it = std::find_if(active_.begin(), active_.end(),
@@ -170,100 +225,34 @@ void Medium::finish(std::uint64_t key) {
         interferer = &other;
       }
     }
-    const Milliwatts signal =
-        gain(done.frame.src, receiver) * done.power_scale;
     if (half_duplex_conflict) return DecodeVerdict::kFailHalfDuplex;
-    if (n_interferers == 0) {
-      return adapter_->feasible(done.rate, signal / noise_)
-                 ? DecodeVerdict::kCleanOk
-                 : DecodeVerdict::kFailClean;
+    if (n_interferers > 1) return DecodeVerdict::kFailCollision;  // pile-up
+    const Arrival signal{gain(done.frame.src, receiver) * done.power_scale,
+                         done.rate};
+    if (interferer == nullptr) {
+      return decode_verdict(*adapter_, decoder_, noise_, signal, nullptr);
     }
-    if (n_interferers == 1) {
-      const Transmission& other = *interferer;
-      const Milliwatts irss =
-          gain(other.frame.src, receiver) * other.power_scale;
-      if (signal >= irss) {
-        return adapter_->feasible(done.rate, signal / (irss + noise_))
-                   ? DecodeVerdict::kCaptureOk
-                   : DecodeVerdict::kFailCollision;
-      }
-      const auto arrival = phy::TwoSignalArrival::make(irss, signal, noise_);
-      const auto outcome = decoder_.decode(arrival, other.rate, done.rate);
-      return outcome.weaker_decoded ? DecodeVerdict::kSicOk
-                                    : DecodeVerdict::kFailCollision;
-    }
-    return DecodeVerdict::kFailCollision;  // > 2-signal pile-up
-  };
-  const auto is_success = [](DecodeVerdict v) {
-    return v == DecodeVerdict::kCleanOk || v == DecodeVerdict::kCaptureOk ||
-           v == DecodeVerdict::kSicOk;
+    const Arrival other{
+        gain(interferer->frame.src, receiver) * interferer->power_scale,
+        interferer->rate};
+    return decode_verdict(*adapter_, decoder_, noise_, signal, &other);
   };
 
   DecodeVerdict verdict = DecodeVerdict::kFailNoDestination;
   const MacNodeId dst = done.frame.dst;
-  if (dst >= 0 && dst < n_nodes_) {
-    verdict = decode_at(dst);
-    // Fault injection applies to the destination's verdict only, after the
-    // physics said yes — overhearers below re-evaluate without the hook.
-    if (fault_hook_ && is_success(verdict) &&
-        fault_hook_(done.frame, verdict == DecodeVerdict::kSicOk)) {
-      verdict = verdict == DecodeVerdict::kCleanOk
-                    ? DecodeVerdict::kFailClean
-                    : DecodeVerdict::kFailCollision;
-      ++stats_.injected_failures;
-    }
-  }
+  if (dst >= 0 && dst < n_nodes_) verdict = decode_at(dst);
   // Overhearers: every other attached node that could decode this frame
   // (feeds virtual carrier sense / NAV).
   overhearers_.clear();
   for (const MacNodeId n : attached_) {
     if (n == dst || n == done.frame.src) continue;
-    if (is_success(decode_at(n))) overhearers_.push_back(n);
+    if (decoded(decode_at(n))) overhearers_.push_back(n);
   }
 
-  const bool decoded = is_success(verdict);
-  const auto interferer_count = [&] {
-    return static_cast<std::size_t>(
-        std::count_if(overlaps_.begin(), overlaps_.end(), overlaps_done));
-  };
-  // Frame-fate diagnostics, formerly the SICMAC_MEDIUM_LOG env toggle:
-  // now --log-level debug / SICMAC_LOG_LEVEL=debug.
-  SIC_LOG_DEBUG(
-      "medium %9.1fus %-4s src=%d dst=%d bits=%.0f rate=%.2fMbps "
-      "start=%.1fus verdict=%s interferers=%zu",
-      to_seconds(queue_->now()) * 1e6, frame_type_name(done.frame.type),
-      done.frame.src, done.frame.dst, done.frame.payload_bits,
-      done.rate.megabits(), to_seconds(done.start) * 1e6, to_string(verdict),
-      interferer_count());
-  // Every transmission becomes a span on its sender's track, its decode
-  // verdict an annotation — this is what makes a faulty round visible on
-  // the Perfetto timeline.
-  if (obs::TraceSink* sink = obs::trace()) {
-    const double start_us = to_seconds(done.start) * 1e6;
-    const double dur_us = to_seconds(done.end - done.start) * 1e6;
-    sink->complete(frame_type_name(done.frame.type), start_us, dur_us,
-                   done.frame.src,
-                   obs::TraceSink::Args{
-                       {"dst", std::to_string(done.frame.dst)},
-                       {"verdict", to_string(verdict)},
-                       {"interferers", std::to_string(interferer_count())},
-                   });
-  }
-  switch (verdict) {
-    case DecodeVerdict::kCleanOk: ++stats_.delivered; break;
-    case DecodeVerdict::kCaptureOk:
-      ++stats_.delivered;
-      ++stats_.capture_decodes;
-      break;
-    case DecodeVerdict::kSicOk:
-      ++stats_.delivered;
-      ++stats_.sic_decodes;
-      break;
-    case DecodeVerdict::kFailClean: ++stats_.failed_clean; break;
-    case DecodeVerdict::kFailHalfDuplex:
-    case DecodeVerdict::kFailCollision: ++stats_.failed_collision; break;
-    case DecodeVerdict::kFailNoDestination: break;
-  }
+  report_frame(done.frame, done.rate, done.start, done.end, verdict,
+               static_cast<std::size_t>(std::count_if(
+                   overlaps_.begin(), overlaps_.end(), overlaps_done)));
+  stats_.record(verdict);
 
   // An overlap is needed until both its ends have been decoded, and an
   // ended transmission only while an overlap still names it.
@@ -283,8 +272,8 @@ void Medium::finish(std::uint64_t key) {
   });
 
   if (dst >= 0 && dst < n_nodes_ && listeners_[static_cast<std::size_t>(dst)]) {
-    listeners_[static_cast<std::size_t>(dst)]->on_frame_received(done.frame,
-                                                                 decoded);
+    listeners_[static_cast<std::size_t>(dst)]->on_frame_received(
+        done.frame, decoded(verdict));
   }
   for (const MacNodeId n : overhearers_) {
     MediumListener* l = listeners_[static_cast<std::size_t>(n)];

@@ -8,9 +8,14 @@
 /// SIC receiver model (phy::SicDecoder) as the closed-form analysis. Up to
 /// one interferer is cancellable (the paper's two-signal restriction); any
 /// denser pile-up is a loss.
+///
+/// The verdict rule (decode_verdict), its counters (MediumStats::record)
+/// and the per-frame report (report_frame) are free functions: the
+/// scheduled-upload executor, which walks each slot's fixed timeline
+/// without a medium, decodes and reports its frames through them too.
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "mac/event_queue.hpp"
@@ -44,6 +49,46 @@ class MediumListener {
   virtual void on_frame_overheard(const Frame& frame) { (void)frame; }
 };
 
+/// What a receiver made of one frame.
+enum class DecodeVerdict : std::uint8_t {
+  kCleanOk,
+  kCaptureOk,
+  kSicOk,
+  kFailClean,
+  kFailCollision,
+  kFailHalfDuplex,
+  kFailNoDestination,
+};
+
+[[nodiscard]] const char* to_string(DecodeVerdict v);
+
+[[nodiscard]] constexpr bool decoded(DecodeVerdict v) {
+  return v == DecodeVerdict::kCleanOk || v == DecodeVerdict::kCaptureOk ||
+         v == DecodeVerdict::kSicOk;
+}
+
+/// One signal at a receiver: its power there and the rate its sender
+/// chose.
+struct Arrival {
+  Milliwatts rss;
+  BitsPerSecond rate;
+};
+
+/// The receiver model's verdict on \p frame with at most one interferer
+/// (nullptr: none). Alone, it decodes iff its rate is feasible at S/N; as
+/// the stronger of two, by capture at S/(I+N); as the weaker, through
+/// \p decoder's cancellation chain.
+[[nodiscard]] DecodeVerdict decode_verdict(const phy::RateAdapter& adapter,
+                                           const phy::SicDecoder& decoder,
+                                           Milliwatts noise, Arrival frame,
+                                           const Arrival* interferer);
+
+/// Reports one ended transmission: a debug log line and, with a trace
+/// sink attached, a span on the sender's track annotated with the verdict
+/// at its destination and its interferer count.
+void report_frame(const Frame& frame, BitsPerSecond rate, SimTime start,
+                  SimTime end, DecodeVerdict verdict, std::size_t interferers);
+
 struct MediumStats {
   std::uint64_t transmissions = 0;
   std::uint64_t delivered = 0;
@@ -52,8 +97,12 @@ struct MediumStats {
   std::uint64_t sic_decodes = 0;      ///< weaker-signal successes via SIC
   std::uint64_t capture_decodes = 0;  ///< stronger-signal successes under
                                       ///< interference
-  std::uint64_t injected_failures = 0;  ///< successes converted to failures
-                                        ///< by the decode-fault hook
+  /// SIC successes the scheduled executor's fault model turned into
+  /// failures (counted under failed_collision as well).
+  std::uint64_t injected_failures = 0;
+
+  /// Counts one destination verdict.
+  void record(DecodeVerdict v);
 };
 
 class Medium {
@@ -94,17 +143,6 @@ class Medium {
   /// node's own demodulator state, which it knows regardless of whether
   /// the signal clears the energy-detect threshold.
   [[nodiscard]] bool is_receiving(MacNodeId node) const;
-
-  /// Fault-injection hook (see mac/fault_model.hpp): consulted once per
-  /// frame when the *destination's* decode would otherwise succeed.
-  /// \p sic_path is true when the decode went through cancellation (the
-  /// weaker signal of a collision). Returning true converts the success
-  /// into a failure, counted under stats().injected_failures. Overhearing
-  /// evaluations never consult the hook. Pass nullptr to detach.
-  using DecodeFaultHook = std::function<bool(const Frame& frame, bool sic_path)>;
-  void set_decode_fault_hook(DecodeFaultHook hook) {
-    fault_hook_ = std::move(hook);
-  }
 
   /// Starts a transmission; duration = preamble + bits/rate. The frame is
   /// evaluated for decoding at frame.dst when it ends. \p power_scale
@@ -158,7 +196,6 @@ class Medium {
   /// Scratch of finish(): attached nodes that overheard the frame.
   std::vector<MacNodeId> overhearers_;
   MediumStats stats_;
-  DecodeFaultHook fault_hook_;
   std::uint64_t next_key_ = 1;
 };
 

@@ -28,11 +28,15 @@ struct PhyParams {
   static constexpr double rts_bits = 160.0;  ///< 20-byte RTS
   static constexpr double cts_bits = 112.0;  ///< 14-byte CTS
 
+  /// Air time of \p bits at \p rate: the preamble plus the payload.
+  [[nodiscard]] static SimTime airtime(double bits, BitsPerSecond rate) {
+    return preamble + from_seconds(bits / rate.value());
+  }
   [[nodiscard]] SimTime ack_duration() const {
-    return preamble + from_seconds(ack_bits / ack_rate.value());
+    return airtime(ack_bits, ack_rate);
   }
   [[nodiscard]] SimTime cts_duration() const {
-    return preamble + from_seconds(cts_bits / ack_rate.value());
+    return airtime(cts_bits, ack_rate);
   }
 };
 

@@ -1,9 +1,10 @@
 #include "mac/upload_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
-
 #include <string>
+#include <utility>
 
 #include "core/multirate.hpp"
 #include "core/power_control.hpp"
@@ -72,17 +73,24 @@ void name_trace_tracks(obs::TraceSink& sink, std::size_t n_clients,
   if (executor_tid >= 0) sink.name_track(executor_tid, "executor");
 }
 
+/// The AP's noise floor, which every client budget must share.
+Milliwatts shared_noise_floor(std::span<const channel::LinkBudget> clients) {
+  SIC_CHECK(!clients.empty());
+  const Milliwatts noise = clients.front().noise;
+  for (const auto& c : clients) {
+    SIC_CHECK_MSG(c.noise == noise, "clients must share the AP noise floor");
+  }
+  SIC_CHECK(noise.value() > 0.0);
+  return noise;
+}
+
 /// Builds the medium for one AP + n clients from their AP-side budgets.
 /// Client-to-client gains come from the configured mutual SNR.
 std::unique_ptr<Medium> build_medium(EventQueue& queue,
                                      std::span<const channel::LinkBudget> clients,
                                      const phy::RateAdapter& adapter,
                                      const UploadSimConfig& config) {
-  SIC_CHECK(!clients.empty());
-  const Milliwatts noise = clients.front().noise;
-  for (const auto& c : clients) {
-    SIC_CHECK_MSG(c.noise == noise, "clients must share the AP noise floor");
-  }
+  const Milliwatts noise = shared_noise_floor(clients);
   const int n_nodes = static_cast<int>(clients.size()) + 1;
   phy::SicDecoderConfig decoder;
   decoder.sic_capable = config.sic_at_ap;
@@ -159,34 +167,44 @@ UploadSimResult run_dcf_upload(std::span<const channel::LinkBudget> clients,
 
 namespace {
 
-/// Closed-loop executor of a Section 6 schedule. Each slot transmits
-/// exactly as the open-loop runner did; the slot's completion event then
-/// confirms every participating frame against the AP's receive counters
-/// and drives the recovery ladder of RecoveryConfig. With no injected
-/// faults every confirmation succeeds on the first attempt and the event
-/// timeline (hence every result field) is identical to the open-loop
-/// executor this replaced.
+/// Closed-loop executor of a Section 6 schedule. A scheduled slot's
+/// timeline is fixed by the plan: its frames start together (or, for a
+/// serial or multirate tail, one ACK turnaround after the first), the AP
+/// decodes them as they end and ACKs each decoded packet once the air is
+/// clear, and the slot is checked a fixed turnaround after its longest
+/// frame. So the runner walks that timeline directly, event by event in
+/// time order, with no event queue or medium: the same verdict rule
+/// (decode_verdict), counters and per-frame report as mac/medium.hpp, and
+/// the AP's receive counters and duplicate rule inline. The slot check
+/// then confirms every participating frame against those counters and
+/// drives the recovery ladder of RecoveryConfig. With no injected faults
+/// every confirmation succeeds on the first attempt and every result field
+/// is identical to the open-loop executor this replaced.
 class ClosedLoopRunner {
  public:
-  ClosedLoopRunner(EventQueue& queue, Medium& medium, AccessPoint& ap,
-                   std::span<const channel::LinkBudget> clients,
+  ClosedLoopRunner(std::span<const channel::LinkBudget> clients,
                    const phy::RateAdapter& adapter,
                    const core::Schedule& schedule,
                    const UploadSimConfig& config, FaultModel& faults)
-      : queue_(&queue),
-        medium_(&medium),
-        ap_(&ap),
-        clients_(clients),
+      : clients_(clients),
         adapter_(&adapter),
         config_(&config),
         faults_(&faults),
+        decoder_(adapter, decoder_config(config)),
         margin_db_(schedule.admission_margin_db.value()),
         noise_(clients.front().noise),
         sink_(obs::trace()),
         executor_tid_(static_cast<int>(clients.size()) + 1) {
     const std::size_t n = clients.size();
     records_.reserve(n);
-    for (const auto& c : clients_) records_.push_back(ClientRecord{c.rss});
+    // The schedule was planned on the nominal (stale) RSS; under channel
+    // faults the packets fly through the drifted channel.
+    const bool drifted = faults.config().channel_faults();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Milliwatts rss = clients_[i].rss;
+      records_.push_back(ClientRecord{
+          rss, drifted ? faults.true_rss(rss, static_cast<int>(i)) : rss});
+    }
     unrecovered_per_client_.assign(n, 0);
     const int buckets =
         std::clamp(config.recovery.max_attempts_per_frame, 1, 16);
@@ -208,10 +226,23 @@ class ClosedLoopRunner {
     }
   }
 
-  void start() {
+  /// Runs the planned round and every re-match round after it, until the
+  /// backlog drains, the round budget runs out, or the horizon: no event
+  /// at or after it runs.
+  void run() {
     round_open_ = true;
     round_start_us_ = now_us();
-    run_slot(0);
+    std::size_t index = 0;
+    for (;;) {
+      if (index >= round_slots_.size()) {
+        if (!end_round()) return;
+        index = 0;
+        continue;
+      }
+      if (!play_slot(index)) return;
+      finish_slot(index);
+      ++index;
+    }
   }
 
   /// Accounts frames still pending when the horizon cut the run short.
@@ -224,7 +255,11 @@ class ClosedLoopRunner {
 
   /// Hands the run's accounting to \p result (call once, after finalize).
   void move_results_into(UploadSimResult& result) {
+    result.delivered = data_received_;
+    result.completion_s = to_seconds(now_);
+    result.medium = medium_;
     result.failures = std::move(telemetry_);
+    result.failures.duplicate_deliveries = duplicates_;
     result.unrecovered_per_client = std::move(unrecovered_per_client_);
   }
 
@@ -248,14 +283,41 @@ class ClosedLoopRunner {
   /// The executor's state of one client.
   struct ClientRecord {
     Milliwatts estimate;        ///< executor's channel knowledge
+    Milliwatts truth;           ///< the channel its frames fly through
     int pending = 0;            ///< unconfirmed frames
     int attempts = 0;           ///< transmissions
     int failures = 0;           ///< failed exchanges
     bool dropped = false;       ///< gave up on this client
     bool demoted = false;       ///< barred from pairing
-    std::uint64_t ap_seen = 0;  ///< AP receive counter last seen
+    std::uint64_t received = 0;  ///< AP receive counter of this client
+    std::uint64_t ap_seen = 0;   ///< receive counter last checked
     FailCause last_cause = FailCause::kNone;  ///< most recent failure
   };
+
+  /// A data frame on the air: one phase of a slot holds up to two, in
+  /// send order, all starting at the phase's start.
+  struct AirFrame {
+    int client = 0;
+    BitsPerSecond rate{0.0};
+    double scale = 1.0;
+    double bits = 0.0;
+    bool final_fragment = true;
+    SimTime end = 0;
+  };
+  struct Phase {
+    std::array<AirFrame, 2> frames{};
+    std::size_t size = 0;
+    /// Longest air time; 0 with nothing on the air.
+    SimTime span = 0;
+  };
+
+  static phy::SicDecoderConfig decoder_config(const UploadSimConfig& c) {
+    phy::SicDecoderConfig decoder;
+    decoder.sic_capable = c.sic_at_ap;
+    decoder.cancellation_residual = c.cancellation_residual;
+    decoder.max_decodable_disparity = c.max_decodable_disparity;
+    return decoder;
+  }
 
   /// Abandons every pending frame of client \p c, splitting the loss by
   /// the last observed failure cause (kNone = never checked: horizon).
@@ -302,20 +364,20 @@ class ClosedLoopRunner {
                                          config_->packet_bits);
   }
 
-  /// Transmits one data frame; zero-rate links (a discrete adapter below
-  /// its lowest threshold) skip the air entirely and fail at confirmation.
-  SimTime send(int client, BitsPerSecond rate, double scale,
-               double bits, bool final_fragment) {
-    if (rate.value() <= 0.0) return 0;
-    Frame f;
-    f.id = frame_id(client);
-    f.type = FrameType::kData;
-    f.src = client + 1;
-    f.dst = kApId;
-    f.payload_bits = bits;
-    f.final_fragment = final_fragment;
-    medium_->transmit(f, rate, scale);
-    return medium_->frame_duration(f, rate);
+  /// Puts one data frame on the air at now_; zero-rate links (a discrete
+  /// adapter below its lowest threshold) skip the air entirely and fail
+  /// at confirmation.
+  void send(Phase& phase, int client, BitsPerSecond rate, double scale,
+            double bits, bool final_fragment) {
+    if (rate.value() <= 0.0) return;
+    SIC_CHECK(scale > 0.0 && scale <= 1.0);
+    SIC_CHECK_MSG(phase.size == 0 || phase.frames[0].client != client,
+                  "node is already transmitting (half duplex)");
+    const SimTime end = now_ + PhyParams::airtime(bits, rate);
+    phase.frames[phase.size++] =
+        AirFrame{client, rate, scale, bits, final_fragment, end};
+    phase.span = std::max(phase.span, end - now_);
+    ++medium_.transmissions;
   }
 
   void note_attempt(int client) {
@@ -324,67 +386,64 @@ class ClosedLoopRunner {
     if (r.attempts > 1) ++telemetry_.retransmissions;
   }
 
-  void run_slot(std::size_t index) {
-    if (index >= round_slots_.size()) {
-      end_round();
-      return;
-    }
+  /// Moves the clock to the next event at \p t; false when \p t is at or
+  /// past the horizon, where the run stops without running it.
+  [[nodiscard]] bool advance_to(SimTime t) {
+    SIC_DCHECK(t >= now_);
+    if (t >= config_->horizon) return false;
+    now_ = t;
+    return true;
+  }
+
+  /// Plays slot \p index from now_ up to its check; false when the
+  /// horizon stopped the run first.
+  [[nodiscard]] bool play_slot(std::size_t index) {
     slot_start_us_ = now_us();
-    // Copy: retry slots appended below may reallocate round_slots_.
-    const RunSlot slot = round_slots_[index];
-    const PhyParams& phy = medium_->phy();
+    const RunSlot& slot = round_slots_[index];
     const double bits = config_->packet_bits;
-    SimTime span = 0;
+    const PhyParams phy;
 
     note_attempt(slot.first);
     if (slot.second >= 0) note_attempt(slot.second);
 
+    Phase phase;
     int acks = 1;
+    int tail_client = -1;  // sender of a serial or multirate second half
+    double tail_bits = 0.0;
     switch (slot.mode) {
       case core::PairMode::kSolo:
-        span = send(slot.first, clean_rate(slot.first), 1.0, bits, true);
+        send(phase, slot.first, clean_rate(slot.first), 1.0, bits, true);
         break;
-      case core::PairMode::kSerial: {
+      case core::PairMode::kSerial:
         // First packet now; the second after the first's ACK turnaround.
-        const SimTime t1 =
-            send(slot.first, clean_rate(slot.first), 1.0, bits, true);
-        const SimTime gap = t1 + phy.sifs + phy.ack_duration() + phy.sifs;
-        tail_client_ = slot.second;
-        tail_bits_ = bits;
-        queue_->schedule_after(gap, [this, index] { send_tail(index); });
-        return;  // send_tail handles the slot completion
-      }
+        send(phase, slot.first, clean_rate(slot.first), 1.0, bits, true);
+        tail_client = slot.second;
+        tail_bits = bits;
+        break;
       case core::PairMode::kSicMultirate: {
         SIC_CHECK(slot.second >= 0);
         const auto [strong, weak] = strong_weak(slot);
         const auto ctx = pair_ctx(slot.first, slot.second);
         const auto mr = core::multirate_airtime_detailed(ctx);
+        const auto rates = core::sic_rates(ctx);
         if (!mr.boosted) {
           // Nothing to boost; run as a plain SIC pair.
-          const auto rates = core::sic_rates(ctx);
-          const SimTime ts = send(strong, rates.stronger, 1.0, bits, true);
-          const SimTime tw = send(weak, rates.weaker, 1.0, bits, true);
-          span = std::max(ts, tw);
+          send(phase, strong, rates.stronger, 1.0, bits, true);
+          send(phase, weak, rates.weaker, 1.0, bits, true);
           acks = 2;
           break;
         }
         // Fragment 1 of the stronger packet rides the overlap at the
         // interference-limited rate; the weaker packet runs in full.
-        const auto rates = core::sic_rates(ctx);
-        SimTime overlap_span = send(weak, rates.weaker, 1.0, bits, true);
+        send(phase, weak, rates.weaker, 1.0, bits, true);
         if (mr.overlap_bits > 0.0) {
-          overlap_span = std::max(
-              overlap_span,
-              send(strong, rates.stronger, 1.0, mr.overlap_bits, false));
+          send(phase, strong, rates.stronger, 1.0, mr.overlap_bits, false);
         }
         // After the overlap and the weaker packet's ACK turnaround, the
         // stronger client boosts the remainder to its clean rate.
-        tail_client_ = strong;
-        tail_bits_ = std::max(0.0, bits - mr.overlap_bits);
-        const SimTime gap =
-            overlap_span + phy.sifs + phy.ack_duration() + phy.sifs;
-        queue_->schedule_after(gap, [this, index] { send_tail(index); });
-        return;  // send_tail handles the slot completion
+        tail_client = strong;
+        tail_bits = std::max(0.0, bits - mr.overlap_bits);
+        break;
       }
       case core::PairMode::kSic:
       case core::PairMode::kSicPowerControl: {
@@ -399,29 +458,145 @@ class ClosedLoopRunner {
         }
         ctx.arrival.weaker = ctx.arrival.weaker * scale;
         const auto rates = core::sic_rates(ctx);
-        const SimTime ts = send(strong, rates.stronger, 1.0, bits, true);
-        const SimTime tw = send(weak, rates.weaker, scale, bits, true);
-        span = std::max(ts, tw);
+        send(phase, strong, rates.stronger, 1.0, bits, true);
+        send(phase, weak, rates.weaker, scale, bits, true);
         acks = 2;
         break;
       }
     }
-    const SimTime turnaround =
-        span + phy.sifs + acks * (phy.ack_duration() + phy.sifs);
-    queue_->schedule_after(turnaround, [this, index] { finish_slot(index); });
+    const SimTime start = now_;
+    if (!play(phase)) return false;
+    const SimTime ack_turnaround = phy.sifs + phy.ack_duration() + phy.sifs;
+    if (tail_client < 0) {
+      return advance_to(start + phase.span + phy.sifs +
+                        acks * (phy.ack_duration() + phy.sifs));
+    }
+    if (!advance_to(start + phase.span + ack_turnaround)) return false;
+    const SimTime tail_start = now_;
+    Phase tail;
+    send(tail, tail_client, clean_rate(tail_client), 1.0, tail_bits, true);
+    if (!play(tail)) return false;
+    return advance_to(tail_start + tail.span + ack_turnaround);
   }
 
-  /// Second half of a serial or multirate slot: tail_client_ sends
-  /// tail_bits_ at its clean rate, then the slot completes after the ACK
-  /// turnaround. The tail lives in members, not in the event's captures,
-  /// so the callbacks stay two words (see mac/event_queue.hpp); one slot
-  /// is on the air at a time, so one tail suffices.
-  void send_tail(std::size_t index) {
-    const SimTime t =
-        send(tail_client_, clean_rate(tail_client_), 1.0, tail_bits_, true);
-    const PhyParams& p = medium_->phy();
-    queue_->schedule_after(t + p.sifs + p.ack_duration() + p.sifs,
-                           [this, index] { finish_slot(index); });
+  /// Runs \p phase's events in time order: its frame ends (ties in send
+  /// order), each decoded packet's ACK once no data frame is on the air,
+  /// and the ACK ends. The ACKs of a phase always end before the slot's
+  /// next fixed event (tail start or check): SLOT < SIFS bounds a deferred
+  /// ACK's wait.
+  [[nodiscard]] bool play(Phase& phase) {
+    const SimTime start = now_;
+    const PhyParams phy;
+    const SimTime ack_air = phy.ack_duration();
+    std::array<std::size_t, 2> order{0, 1};
+    if (phase.size == 2 && phase.frames[1].end < phase.frames[0].end) {
+      std::swap(order[0], order[1]);
+    }
+    std::size_t ended = 0;
+    // ACK backlog in decode order (a phase decodes at most two packets)
+    // and its next start or retry event, kNever when none is due.
+    std::array<int, 2> backlog{};
+    std::size_t queued = 0;
+    std::size_t sent = 0;
+    SimTime ack_at = kNever;
+    for (;;) {
+      const SimTime frame_at =
+          ended < phase.size ? phase.frames[order[ended]].end : kNever;
+      if (frame_at == kNever && ack_at == kNever) return true;
+      if (frame_at <= ack_at) {
+        // A frame ending with an ACK due ends first: it went on the air,
+        // and so was scheduled, before the ACK was.
+        if (!advance_to(frame_at)) return false;
+        const std::size_t i = order[ended++];
+        const AirFrame* other =
+            phase.size == 2 ? &phase.frames[1 - i] : nullptr;
+        if (end_frame(phase.frames[i], start, other)) {
+          backlog[queued++] = phase.frames[i].client;
+          if (ack_at == kNever) {
+            ack_at = std::max(now_ + phy.sifs, ack_ready_ + phy.sifs);
+          }
+        }
+        continue;
+      }
+      if (!advance_to(ack_at)) return false;
+      if (ended < phase.size) {
+        // An SIC-capable AP defers its ACK while it is still receiving
+        // another (cancellable) frame — transmitting now would both
+        // violate half duplex and stomp the weaker signal's tail (the
+        // ACK-timing issue [4] discusses). Retry one slot later.
+        ack_ready_ = now_ + phy.slot;
+        ack_at = std::max(now_ + phy.sifs, ack_ready_ + phy.sifs);
+        continue;
+      }
+      const int client = backlog[sent++];
+      const SimTime ack_start = now_;
+      ++medium_.transmissions;
+      ack_ready_ = ack_start + ack_air;
+      ack_at = sent < queued
+                   ? std::max(now_ + phy.sifs, ack_ready_ + phy.sifs)
+                   : kNever;
+      if (!advance_to(ack_start + ack_air)) return false;
+      end_ack(client, ack_start);
+    }
+  }
+
+  /// The AP's verdict on data frame \p f at its end, with \p other on the
+  /// air alongside it (nullptr: alone); true when it completes a packet,
+  /// which the AP then ACKs.
+  bool end_frame(const AirFrame& f, SimTime start, const AirFrame* other) {
+    const Arrival signal{
+        records_[static_cast<std::size_t>(f.client)].truth * f.scale, f.rate};
+    Arrival interferer{};
+    if (other != nullptr) {
+      interferer = Arrival{
+          records_[static_cast<std::size_t>(other->client)].truth *
+              other->scale,
+          other->rate};
+    }
+    DecodeVerdict verdict =
+        decode_verdict(*adapter_, decoder_, noise_, signal,
+                       other != nullptr ? &interferer : nullptr);
+    // Injected faults strike the cancellation path only, after the
+    // physics said yes.
+    if (verdict == DecodeVerdict::kSicOk &&
+        faults_->cancellation_fails(frame_id(f.client))) {
+      verdict = DecodeVerdict::kFailCollision;
+      ++medium_.injected_failures;
+    }
+    Frame frame;
+    frame.src = f.client + 1;
+    frame.dst = kApId;
+    frame.payload_bits = f.bits;
+    report_frame(frame, f.rate, start, f.end, verdict, other != nullptr);
+    medium_.record(verdict);
+    // Non-final fragments (multirate packetization) complete no packet and
+    // solicit no ACK; the final fragment accounts for the whole packet.
+    if (!decoded(verdict) || !f.final_fragment) return false;
+    ++data_received_;
+    // A retransmission keeps its frame id, so any reception after a
+    // client's first is a duplicate.
+    if (records_[static_cast<std::size_t>(f.client)].received++ > 0) {
+      ++duplicates_;
+    }
+    return true;
+  }
+
+  /// An ACK to \p client, sent at \p start, ends now_: nothing else is on
+  /// the air, so its client decodes it clean whenever the rate allows.
+  void end_ack(int client, SimTime start) {
+    const PhyParams phy;
+    const DecodeVerdict verdict = decode_verdict(
+        *adapter_, decoder_, noise_,
+        Arrival{records_[static_cast<std::size_t>(client)].truth,
+                phy.ack_rate},
+        nullptr);
+    Frame ack;
+    ack.type = FrameType::kAck;
+    ack.src = kApId;
+    ack.dst = client + 1;
+    ack.payload_bits = phy.ack_bits;
+    report_frame(ack, phy.ack_rate, start, now_, verdict, 0);
+    medium_.record(verdict);
   }
 
   /// Stronger/weaker roles from the executor's *estimates* — under stale
@@ -498,16 +673,14 @@ class ClosedLoopRunner {
       // stale; retrying on the same estimate is futile, so those clients
       // wait for the round boundary's re-estimation + re-matching.
     }
-    run_slot(index + 1);
   }
 
   CheckOutcome check_client(int client) {
     const std::size_t c = static_cast<std::size_t>(client);
     ClientRecord& r = records_[c];
     if (r.pending <= 0) return CheckOutcome::kConfirmed;
-    const std::uint64_t total = ap_->received_from(client + 1);
-    const std::uint64_t delta = total - r.ap_seen;
-    r.ap_seen = total;
+    const std::uint64_t delta = r.received - r.ap_seen;
+    r.ap_seen = r.received;
     if (delta > 0) {
       if (faults_->ack_lost()) {
         // The AP has the frame; the station never hears so and will
@@ -568,15 +741,15 @@ class ClosedLoopRunner {
 
   /// Round boundary: every frame either confirmed, dropped, or waiting on
   /// a fresh channel estimate. Re-measure, advance the channel, and
-  /// re-match the residual backlog.
-  void end_round() {
+  /// re-match the residual backlog. True when a new round opens.
+  [[nodiscard]] bool end_round() {
     residual_.clear();
     residual_.reserve(records_.size());
     for (std::size_t c = 0; c < records_.size(); ++c) {
       if (records_[c].pending > 0) residual_.push_back(static_cast<int>(c));
     }
     close_round_span(residual_.empty() ? "drained" : "residual");
-    if (residual_.empty()) return;  // all confirmed or dropped: drain
+    if (residual_.empty()) return false;  // all confirmed or dropped: drain
     SIC_LOG_DEBUG("round %d ends with %zu residual clients", rounds_,
                   residual_.size());
     if (!config_->recovery.enabled ||
@@ -586,7 +759,7 @@ class ClosedLoopRunner {
         give_up(c);
         records_[c].dropped = true;
       }
-      return;
+      return false;
     }
     ++rounds_;
     ++telemetry_.rematch_rounds;
@@ -605,9 +778,8 @@ class ClosedLoopRunner {
       }
       faults_->advance_epoch();
       for (std::size_t c = 0; c < records_.size(); ++c) {
-        medium_->set_gain(kApId, static_cast<int>(c) + 1,
-                          faults_->true_rss(clients_[c].rss,
-                                            static_cast<int>(c)));
+        records_[c].truth =
+            faults_->true_rss(clients_[c].rss, static_cast<int>(c));
       }
     }
 
@@ -667,12 +839,10 @@ class ClosedLoopRunner {
     }
     round_open_ = true;
     round_start_us_ = now_us();
-    run_slot(0);
+    return true;
   }
 
-  [[nodiscard]] double now_us() const {
-    return to_seconds(queue_->now()) * 1e6;
-  }
+  [[nodiscard]] double now_us() const { return to_seconds(now_) * 1e6; }
 
   /// Emits the span of the round in flight (planned round 0 or a re-match
   /// round) onto the executor track; safe to call when no round is open.
@@ -687,13 +857,11 @@ class ClosedLoopRunner {
     }
   }
 
-  EventQueue* queue_;
-  Medium* medium_;
-  AccessPoint* ap_;
   std::span<const channel::LinkBudget> clients_;
   const phy::RateAdapter* adapter_;
   const UploadSimConfig* config_;
   FaultModel* faults_;
+  phy::SicDecoder decoder_;
   double margin_db_;
   Milliwatts noise_;
 
@@ -706,9 +874,15 @@ class ClosedLoopRunner {
   std::vector<int> solo_;
   std::vector<channel::LinkBudget> budgets_;
   int rounds_ = 0;
-  int tail_client_ = -1;    ///< sender of the in-flight slot's second half
-  double tail_bits_ = 0.0;  ///< and its payload
   FailureTelemetry telemetry_;
+
+  /// The air and the AP: the time of the last event run, when the AP's
+  /// next ACK may start at the earliest, and what it has received.
+  SimTime now_ = 0;
+  SimTime ack_ready_ = 0;
+  MediumStats medium_;
+  std::uint64_t data_received_ = 0;
+  std::uint64_t duplicates_ = 0;
 
   /// Pure observers — write-only from the simulation's point of view.
   obs::TraceSink* sink_;
@@ -724,33 +898,15 @@ UploadSimResult run_scheduled_upload(
     std::span<const channel::LinkBudget> clients,
     const phy::RateAdapter& adapter, const core::Schedule& schedule,
     const UploadSimConfig& config) {
-  EventQueue queue;
-  auto medium = build_medium(queue, clients, adapter, config);
-  AccessPoint ap{queue, *medium, kApId};
+  (void)shared_noise_floor(clients);
   FaultModel faults{config.faults, static_cast<int>(clients.size()),
                     config.seed};
-  if (config.faults.channel_faults()) {
-    // The schedule was planned on the nominal (stale) RSS; the packets fly
-    // through the drifted channel.
-    for (int i = 0; i < static_cast<int>(clients.size()); ++i) {
-      medium->set_gain(kApId, i + 1,
-                       faults.true_rss(
-                           clients[static_cast<std::size_t>(i)].rss, i));
-    }
-  }
-  if (config.faults.cancellation_failure_prob > 0.0) {
-    medium->set_decode_fault_hook([&faults](const Frame& f, bool sic_path) {
-      return faults.should_fail_decode(f, sic_path);
-    });
-  }
   if (obs::TraceSink* sink = obs::trace()) {
     name_trace_tracks(*sink, clients.size(),
                       static_cast<int>(clients.size()) + 1);
   }
-  ClosedLoopRunner runner{queue,   *medium,  ap,     clients,
-                          adapter, schedule, config, faults};
-  runner.start();
-  queue.run_until(config.horizon);
+  ClosedLoopRunner runner{clients, adapter, schedule, config, faults};
+  runner.run();
   runner.finalize();
 
   UploadSimResult result;
@@ -759,11 +915,7 @@ UploadSimResult run_scheduled_upload(
     offered += slot.second >= 0 ? 2 : 1;
   }
   result.offered = offered;
-  result.delivered = ap.stats().data_received;
-  result.completion_s = to_seconds(queue.now());
-  result.medium = medium->stats();
   runner.move_results_into(result);
-  result.failures.duplicate_deliveries = ap.stats().duplicate_data;
   result.retries = result.failures.retransmissions;
   result.drops = result.failures.unrecovered;
   if (obs::MetricsRegistry* reg = obs::metrics()) {

@@ -2,16 +2,21 @@
 #define SICMAC_MAC_UPLOAD_SIM_HPP
 
 /// \file upload_sim.hpp
-/// End-to-end upload experiments on the discrete-event simulator:
+/// End-to-end upload experiments on one AP's cell:
 ///
-///  - run_dcf_upload: backlogged clients contend with plain CSMA/CA. With
+///  - run_dcf_upload: backlogged clients contend with plain CSMA/CA on the
+///    discrete-event simulator (mac/event_queue, mac/medium). With
 ///    `sic_at_ap` the AP's receiver recovers collided pairs (capture +
 ///    SIC), turning collisions from pure waste into deliveries.
 ///  - run_scheduled_upload: the AP executes a Section 6 SIC-aware schedule
 ///    (client pairing, optional power control) with no contention; every
 ///    planned concurrent pair must actually decode under the medium's
-///    receiver model, which makes this an executable proof of the
-///    scheduler's feasibility conditions.
+///    receiver model (mac::decode_verdict), which makes this an executable
+///    proof of the scheduler's feasibility conditions. Nothing contends,
+///    so each slot's timeline — its frames, their decode order and the
+///    ACKs — is fixed by the plan, and the executor walks it directly
+///    instead of through an event queue: same verdicts, counters, trace
+///    spans and horizon cut as the medium would give.
 ///
 /// The scheduled executor is *closed-loop*: it confirms every frame
 /// against the AP's receive counters and, under the injected faults of
@@ -78,13 +83,15 @@ struct UploadSimConfig {
   Decibels max_decodable_disparity{1e9};
   /// Mutual client-to-client RSS, as dB over the noise floor. Above the
   /// carrier-sense threshold = no hidden terminals (the default); below =
-  /// everyone is hidden from everyone.
+  /// everyone is hidden from everyone. DCF only, like rate_margin,
+  /// frames_per_client and use_rts_cts: a scheduled slot has no contention.
   Decibels client_mutual_snr{25.0};
   /// Injected faults (scheduled executor only). All-zero = inert.
   FaultConfig faults;
   /// Closed-loop recovery policy (scheduled executor only).
   RecoveryConfig recovery;
   std::uint64_t seed = 1;
+  /// Simulation time budget: no event at or after it runs.
   SimTime horizon = from_seconds(300.0);
 };
 

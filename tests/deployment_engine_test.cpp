@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -419,6 +420,53 @@ TEST(DeploymentEngine, MalformedSchedulerOptionsFailAtConstruction) {
   DeploymentEngineConfig bad_margin;
   bad_margin.scheduler.admission_margin_db = Decibels{-3.0};
   EXPECT_THROW((DeploymentEngine{sites, kShannon, bad_margin}), CheckError);
+}
+
+TEST(DeploymentEngine, MalformedConfigFailsAtConstruction) {
+  // Each knob out of range fails at construction with a CheckError that
+  // names it, rather than quarantining or re-matching on every epoch,
+  // cutting every run, skipping drift, or failing at the first arrival.
+  const std::vector<topology::Point> sites{{0.0, 0.0}};
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  using Edit = void (*)(DeploymentEngineConfig&);
+  const std::pair<const char*, Edit> cases[] = {
+      {"quarantine_after", [](auto& c) { c.quarantine_after = 0; }},
+      {"quarantine_base_epochs",
+       [](auto& c) { c.quarantine_base_epochs = 0; }},
+      {"ladder_recover_epochs", [](auto& c) { c.ladder_recover_epochs = 0; }},
+      {"watchdog_epochs", [](auto& c) { c.watchdog_epochs = 0; }},
+      {"watchdog_epochs", [](auto& c) { c.watchdog_epochs = -2; }},
+      {"epoch_drift_sigma",
+       [](auto& c) { c.epoch_drift_sigma = Decibels{nan}; }},
+      {"epoch_drift_sigma",
+       [](auto& c) { c.epoch_drift_sigma = Decibels{-1.0}; }},
+      {"epoch_drift_sigma",
+       [](auto& c) { c.epoch_drift_sigma = Decibels{inf}; }},
+      {"arrival_radius_m", [](auto& c) { c.arrival_radius_m = -1.0; }},
+      {"arrival_radius_m", [](auto& c) { c.arrival_radius_m = nan; }},
+      {"upload.horizon", [](auto& c) { c.upload.horizon = 0; }},
+      {"upload.horizon", [](auto& c) { c.upload.horizon = -1; }},
+  };
+  for (const auto& [field, edit] : cases) {
+    DeploymentEngineConfig config;
+    edit(config);
+    try {
+      DeploymentEngine engine{sites, kShannon, config};
+      ADD_FAILURE() << field << ": constructed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  DeploymentEngineConfig edge;
+  edge.quarantine_after = 1;
+  edge.quarantine_base_epochs = 1;
+  edge.ladder_recover_epochs = 1;
+  edge.watchdog_epochs = 1;
+  edge.arrival_radius_m = 0.0;
+  edge.upload.horizon = 1;
+  EXPECT_NO_THROW((DeploymentEngine{sites, kShannon, edge}));
 }
 
 TEST(DeploymentEngine, DefaultChaosProfileStaysAuditClean) {

@@ -3,9 +3,12 @@
 /// recorded value, so any change to event order, decode verdicts, RNG draw
 /// order or result accounting in mac/ shows up as a digest mismatch. The
 /// grids cover both executors, Shannon and 802.11g rates, plain and
-/// power-control + multirate plans, every injected fault class, and three
-/// chaotic multi-AP deployments: load-aware and strongest-AP association,
-/// and one whose population the caller edits between epochs.
+/// power-control + multirate plans, every injected fault class, scheduled
+/// runs cut short by a horizon at every kind of event and runs traced
+/// event by event, and three chaotic multi-AP deployments: load-aware and
+/// strongest-AP association, one whose population the caller edits
+/// between epochs, and one whose out-of-coverage clients keep being
+/// exiled, probed back and removed.
 ///
 /// A deliberate behaviour change re-records the constants: run the suite,
 /// read the "actual" digest from the failure message, and say why in the
@@ -13,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string_view>
@@ -109,6 +114,8 @@ struct Coverage {
   std::uint64_t ack_losses = 0;
   std::uint64_t duplicates = 0;
   std::uint64_t mode_demotions = 0;
+  std::uint64_t injected_failures = 0;
+  std::uint64_t unattempted = 0;
 
   void add(const UploadSimResult& r) {
     ++runs;
@@ -122,8 +129,44 @@ struct Coverage {
     ack_losses += r.failures.ack_losses;
     duplicates += r.failures.duplicate_deliveries;
     mode_demotions += r.failures.mode_demotions;
+    injected_failures += r.medium.injected_failures;
+    unattempted += r.failures.gave_up_unattempted;
   }
 };
+
+/// One cell of the horizon and trace pins: Shannon rates with the plain
+/// planner, or 802.11g with power control and multirate.
+struct PinCell {
+  const phy::RateAdapter* adapter;
+  core::SchedulerOptions options;
+};
+
+std::vector<PinCell> pin_cells(const phy::RateAdapter& shannon,
+                               const phy::RateAdapter& dot11g) {
+  core::SchedulerOptions techniques;
+  techniques.enable_power_control = true;
+  techniques.enable_multirate = true;
+  return {{&shannon, {}}, {&dot11g, techniques}};
+}
+
+/// The pins' fault mix: 4 dB stale RSS, 20 % cancellation failures and
+/// 20 % ACK loss, or none.
+UploadSimConfig pin_config(bool faulty, std::uint64_t seed) {
+  UploadSimConfig config;
+  config.seed = seed;
+  if (faulty) {
+    config.faults.stale_rss_sigma = Decibels{4.0};
+    config.faults.cancellation_failure_prob = 0.2;
+    config.faults.ack_loss_prob = 0.2;
+  }
+  return config;
+}
+
+/// Simulation time of a result's last event, exact: completion_s is that
+/// time in seconds.
+SimTime last_event(const UploadSimResult& r) {
+  return static_cast<SimTime>(std::llround(r.completion_s * 1e9));
+}
 
 /// Folds one epoch's stats and every AP's liveness, ladder level, member
 /// list and inner-run result; returns the epoch's transmissions.
@@ -158,9 +201,12 @@ std::uint64_t fold_epoch(Fnv1a& d, const EpochStats& s,
 
 constexpr std::uint64_t kScheduledDigest = 0x25d0e5ce8118549dULL;
 constexpr std::uint64_t kDcfDigest = 0x0daf3d53239e55c2ULL;
+constexpr std::uint64_t kHorizonCutDigest = 0xe4af630ec359d375ULL;
+constexpr std::uint64_t kTracedDigest = 0x679e01bfd9b955a5ULL;
 constexpr std::uint64_t kEngineDigest = 0x038420f3c44b974dULL;
 constexpr std::uint64_t kStrongestApDigest = 0x3a5bdb6af199968eULL;
 constexpr std::uint64_t kPopulationEditsDigest = 0xa144887eaddfac03ULL;
+constexpr std::uint64_t kQuarantineChurnDigest = 0xf5e7b0d1e500294cULL;
 
 TEST(UploadSim, SeededRunsMatchRecordedDigest) {
   const phy::ShannonRateAdapter shannon{megahertz(20.0)};
@@ -243,6 +289,110 @@ TEST(UploadSim, SeededRunsMatchRecordedDigest) {
   EXPECT_GT(dcf_cov.failed_collision, 0u);
   EXPECT_GT(dcf_cov.sic_decodes + dcf_cov.capture_decodes, 0u);
   EXPECT_EQ(dcf.value(), kDcfDigest) << std::hex << "actual 0x" << dcf.value();
+}
+
+TEST(UploadSim, HorizonCutRunsMatchRecordedDigest) {
+  // Scheduled runs cut short by a horizon. A 4,999 ns step, a multiple of
+  // no PHY constant, walks each run from start to finish at 400 horizons
+  // or more, so cuts fall between every kind of consecutive events: frame
+  // ends, ACK starts and deferred retries, ACK ends, tail starts and slot
+  // checks. The last event of each cut run then becomes a horizon of its
+  // own, where that event must not run, and one nanosecond later, where
+  // it must.
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  constexpr SimTime kStep = 4999;
+  Fnv1a d;
+  Coverage cov;
+  for (const PinCell& cell : pin_cells(shannon, dot11g)) {
+    for (const bool faulty : {false, true}) {
+      for (const int n : {2, 7, 16}) {
+        const std::uint64_t seed = 40 + static_cast<std::uint64_t>(n);
+        const auto clients = seeded_cell(n, seed);
+        const core::Schedule schedule =
+            core::schedule_upload(clients, *cell.adapter, cell.options);
+        UploadSimConfig config = pin_config(faulty, seed);
+        const auto run = [&](SimTime horizon) {
+          config.horizon = horizon;
+          const UploadSimResult r =
+              run_scheduled_upload(clients, *cell.adapter, schedule, config);
+          fold(d, r);
+          cov.add(r);
+          return r;
+        };
+        const SimTime end = last_event(run(from_seconds(300.0)));
+        const SimTime steps = std::max<SimTime>(400, end / kStep + 2);
+        std::vector<SimTime> last;
+        for (SimTime k = 1; k <= steps; ++k) {
+          last.push_back(last_event(run(k * kStep)));
+        }
+        std::sort(last.begin(), last.end());
+        last.erase(std::unique(last.begin(), last.end()), last.end());
+        for (const SimTime t : last) {
+          if (t == 0) continue;  // the run's start is no event
+          EXPECT_LT(last_event(run(t)), t);
+          EXPECT_EQ(last_event(run(t + 1)), t);
+        }
+      }
+    }
+  }
+  EXPECT_GT(cov.runs, 12u * 401u);
+  EXPECT_GT(cov.sic_decodes, 0u);
+  EXPECT_GT(cov.capture_decodes, 0u);
+  EXPECT_GT(cov.rematch_rounds, 0u);
+  EXPECT_GT(cov.mode_demotions, 0u);
+  EXPECT_GT(cov.injected_failures, 0u);
+  EXPECT_GT(cov.ack_losses, 0u);
+  EXPECT_GT(cov.duplicates, 0u);
+  EXPECT_GT(cov.unattempted, 0u);
+  EXPECT_EQ(d.value(), kHorizonCutDigest)
+      << std::hex << "actual 0x" << d.value();
+}
+
+TEST(UploadSim, TracedFaultyRunsMatchRecordedDigest) {
+  // The horizon pin's faulty cells with a trace sink attached: every frame
+  // and ACK span, slot and round span and recovery instant, in the order
+  // recorded, for whole runs and for runs cut at a third and two thirds
+  // of their length.
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  std::ostringstream trace;
+  obs::TraceSink sink{trace};
+  obs::TraceSink* prev = obs::set_trace(&sink);
+  Fnv1a d;
+  Coverage cov;
+  for (const PinCell& cell : pin_cells(shannon, dot11g)) {
+    for (const int n : {2, 7, 16}) {
+      for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        const auto clients = seeded_cell(n, seed);
+        const core::Schedule schedule =
+            core::schedule_upload(clients, *cell.adapter, cell.options);
+        UploadSimConfig config = pin_config(true, seed);
+        const UploadSimResult full =
+            run_scheduled_upload(clients, *cell.adapter, schedule, config);
+        fold(d, full);
+        cov.add(full);
+        const SimTime end = last_event(full);
+        for (const SimTime horizon : {end / 3, 2 * end / 3}) {
+          config.horizon = horizon;
+          const UploadSimResult r =
+              run_scheduled_upload(clients, *cell.adapter, schedule, config);
+          fold(d, r);
+          cov.add(r);
+        }
+      }
+    }
+  }
+  (void)obs::set_trace(prev);
+  sink.flush();
+  d.text(trace.str());
+  EXPECT_EQ(cov.runs, 54u);
+  EXPECT_GT(cov.injected_failures, 0u);
+  EXPECT_GT(cov.ack_losses, 0u);
+  EXPECT_GT(cov.mode_demotions, 0u);
+  EXPECT_GT(cov.rematch_rounds, 0u);
+  EXPECT_GT(cov.unattempted, 0u);
+  EXPECT_EQ(d.value(), kTracedDigest) << std::hex << "actual 0x" << d.value();
 }
 
 TEST(DeploymentEngine, SeededEpochsMatchRecordedDigest) {
@@ -454,6 +604,82 @@ TEST(DeploymentEngine, BetweenEpochPopulationEditsMatchRecordedDigest) {
     EXPECT_EQ(auditor.epochs_checked(), 24u);
     EXPECT_TRUE(auditor.ok());
     EXPECT_EQ(d.value(), kPopulationEditsDigest)
+        << "threads " << threads << std::hex << " actual 0x" << d.value();
+  }
+}
+
+TEST(DeploymentEngine, QuarantineChurnMatchesRecordedDigest) {
+  // Out-of-coverage clients beyond each of four APs fail every epoch, so
+  // they are exiled, probed back and exiled again; between epochs the
+  // caller removes a quarantined one or adds another, and chaos departs
+  // and adds clients too. Each AP's health divides its exiles by its
+  // members plus exiles, so the digest, which folds every epoch's mean
+  // health and each AP's lifetime health, pins who counts as whose exile
+  // at every entry, probe and removal. Every thread count must produce
+  // the same digest.
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  ChaosProfile profile;
+  profile.departure_prob = 0.02;
+  profile.arrival_rate = 0.5;
+  const std::vector<topology::Point> sites{
+      {0.0, 0.0}, {50.0, 0.0}, {0.0, 50.0}, {50.0, 50.0}};
+  const std::vector<topology::Point> far{
+      {-3000.0, -3000.0}, {3050.0, -3000.0}, {-3000.0, 3050.0},
+      {3050.0, 3050.0}};
+  for (const int threads : {1, 4}) {
+    DeploymentEngineConfig config;
+    config.quarantine_after = 2;
+    config.quarantine_base_epochs = 1;
+    config.epoch_drift_sigma = Decibels{1.0};
+    // Near clients confirm in microseconds; an out-of-coverage link
+    // cannot finish a frame within the epoch.
+    config.upload.horizon = from_seconds(0.05);
+    config.threads = threads;
+    config.seed = 31;
+    DeploymentEngine engine{sites, shannon, config, FaultSchedule{profile}};
+    Rng place{config.seed};
+    for (int c = 0; c < 40; ++c) {
+      (void)engine.add_client(
+          {place.uniform(-10.0, 60.0), place.uniform(-10.0, 60.0)});
+    }
+    std::vector<int> hopeless;
+    for (int k = 0; k < 8; ++k) {
+      const topology::Point& p = far[static_cast<std::size_t>(k % 4)];
+      hopeless.push_back(engine.add_client({p.x + 7.0 * k, p.y}));
+    }
+
+    Fnv1a d;
+    int quarantines = 0;
+    int readmissions = 0;
+    int removed_quarantined = 0;
+    for (int e = 0; e < 30; ++e) {
+      const EpochStats s = engine.run_epoch();
+      (void)fold_epoch(d, s, engine);
+      quarantines += s.quarantines;
+      readmissions += s.readmissions;
+      if (e % 5 == 3) {
+        for (const int c : hopeless) {
+          if (engine.client_active(c) && engine.quarantined(c)) {
+            engine.remove_client(c);
+            ++removed_quarantined;
+            break;
+          }
+        }
+      } else if (e % 7 == 4) {
+        const topology::Point& p = far[static_cast<std::size_t>(e % 4)];
+        hopeless.push_back(engine.add_client({p.x - 5.0 * e, p.y}));
+      }
+    }
+    for (const ApHealthSummary& h : engine.health_summary()) {
+      d.word(h.epochs_served);
+      d.real(h.mean_health);
+      d.real(h.min_health);
+      d.real(h.mean_confirmation);
+    }
+    EXPECT_GT(quarantines, 8);
+    EXPECT_GT(readmissions, 8);
+    EXPECT_GE(removed_quarantined, 4);
+    EXPECT_EQ(d.value(), kQuarantineChurnDigest)
         << "threads " << threads << std::hex << " actual 0x" << d.value();
   }
 }
