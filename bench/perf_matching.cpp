@@ -8,7 +8,8 @@
 /// The one-line JSON summary also carries samples/sec at n = 256 for the
 /// dense blossom entry on uniform random costs and for the serial-aware
 /// entry on a seeded WLAN upload, so the bench gate can pin each matcher's
-/// own throughput.
+/// own throughput, and the serial-aware solve's edge visits on that upload
+/// (a count of the search's work, the same on every host).
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "matching/blossom.hpp"
 #include "matching/greedy.hpp"
 #include "matching/oracle.hpp"
+#include "obs/metrics.hpp"
 #include "phy/rate_adapter.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +105,19 @@ void BM_GainBlossomPerfectMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_GainBlossomPerfectMatching)->Arg(64)->Arg(128)->Arg(256);
 
+/// Stage-scan edge visits of one serial-aware solve on the 256-client
+/// upload, from the counter the matcher publishes.
+double gain_blossom_edge_visits() {
+  const GainInstance upload = upload_instance(256);
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* const previous = obs::set_metrics(&registry);
+  benchmark::DoNotOptimize(
+      min_weight_perfect_matching(upload.costs, upload.serial).total_cost);
+  (void)obs::set_metrics(previous);
+  return static_cast<double>(
+      registry.counter("matching.blossom.edge_visits").value());
+}
+
 void BM_OraclePerfectMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto costs = random_costs(n, 42);
@@ -136,7 +151,8 @@ BENCHMARK(BM_GreedyQualityGap)->Arg(16)->Arg(64);
 
 int main(int argc, char** argv) {
   // Headline throughputs at n = 256: the dense entry on uniform random
-  // costs, and the serial-aware entry on the scheduler's own instance.
+  // costs, and the serial-aware entry on the scheduler's own instance,
+  // plus that serial-aware solve's exact edge visits.
   using sic::bench::samples_per_sec;
   return sic::bench::run_perf_main(
       "perf_matching", argc, argv,
@@ -148,12 +164,14 @@ int main(int argc, char** argv) {
                 min_weight_perfect_matching(costs).total_cost);
           });
         }},
-       {"gain_blossom_samples_per_sec_n256", [] {
+       {"gain_blossom_samples_per_sec_n256",
+        [] {
           const GainInstance upload = upload_instance(256);
           return samples_per_sec([&upload] {
             benchmark::DoNotOptimize(
                 min_weight_perfect_matching(upload.costs, upload.serial)
                     .total_cost);
           });
-        }}});
+        }},
+       {"gain_blossom_edge_visits_n256", gain_blossom_edge_visits}});
 }

@@ -4,7 +4,9 @@
 #
 #   scripts/sanitize.sh [asan|tsan] [extra ctest args...]
 #
-# asan (default): ASan + UBSan over the full ctest suite.
+# asan (default): ASan + UBSan over the full ctest suite, built without
+#       -DNDEBUG and with -D_GLIBCXX_ASSERTIONS, so every SIC_DCHECK and
+#       libstdc++'s bounds checks run too (the other builds compile them out).
 # tsan: ThreadSanitizer over the concurrency surface — the thread pool, the
 #       parallel sweep engine (its reused pools, and the batched trial
 #       streams its workers seed, RngBatch), and the deployment engine,

@@ -78,7 +78,11 @@ class BlossomMatcher {
     for (int b = nv_; b < 2 * nv_; ++b) blossombase_[b] = -1;
     blossomchilds_.resize(2 * nv_);
     blossomendps_.resize(2 * nv_);
-    bestedge_.assign(2 * nv_, -1);
+    // One more slot than there are blossom ids: the sink, where offers
+    // that belong to no slot go. Its slack is the lowest value, so no
+    // offer sticks there.
+    best_.assign(2 * nv_ + 1, Slot{});
+    best_[sink()].slack = std::numeric_limits<std::int64_t>::min();
     blossombestedges_.resize(2 * nv_);
     has_bestedges_.assign(2 * nv_, false);
     bestedgeto_.assign(2 * nv_, -1);
@@ -136,7 +140,7 @@ class BlossomMatcher {
     for (int stage = 0; stage < nv_; ++stage) {
       ++stats_.stages;
       std::fill(label_.begin(), label_.end(), 0);
-      std::fill(bestedge_.begin(), bestedge_.end(), -1);
+      std::fill(best_.begin(), best_.begin() + sink(), Slot{});
       for (int b = nv_; b < 2 * nv_; ++b) {
         blossombestedges_[b].clear();
         has_bestedges_[b] = false;
@@ -154,44 +158,43 @@ class BlossomMatcher {
           const int v = queue_.back();
           queue_.pop_back();
           SIC_DCHECK(label_[inblossom_[v]] == 1);
+          // v's dual holds through its scan: duals move only between scans.
+          const std::int64_t dv = dualvar_[v];
+          int bv = inblossom_[v];  // moves only on the tight-arc path
+          std::uint64_t visits = 0;
           for (const Arc& arc : arcs_of(v)) {
-            ++stats_.edge_visits;
+            ++visits;
             const int k = arc.p / 2;
             const int w = arc.to;
-            if (inblossom_[v] == inblossom_[w]) continue;
-            std::int64_t kslack = 0;
+            const int bw = inblossom_[w];
+            if (bv == bw) continue;
             if (!allowedge_[k]) {
-              kslack = dualvar_[v] + dualvar_[w] - 2 * arc.w;
-              if (kslack <= 0) allowedge_[k] = true;
-            }
-            if (allowedge_[k]) {
-              if (label_[inblossom_[w]] == 0) {
-                assign_label(w, 2, arc.p ^ 1);
-              } else if (label_[inblossom_[w]] == 1) {
-                const int base = scan_blossom(v, w);
-                if (base >= 0) {
-                  add_blossom(base, k);
-                } else {
-                  augment_matching(k);
-                  augmented = true;
-                  break;
-                }
-              } else if (label_[w] == 0) {
-                SIC_DCHECK(label_[inblossom_[w]] == 2);
-                label_[w] = 2;
-                labelend_[w] = arc.p ^ 1;
+              const std::int64_t kslack = dv + dualvar_[w] - 2 * arc.w;
+              if (kslack > 0) {
+                offer(offer_slot(bv, bw, w), k, kslack);
+                continue;
               }
-            } else if (label_[inblossom_[w]] == 1) {
-              const int b = inblossom_[v];
-              if (bestedge_[b] == -1 || kslack < slack(bestedge_[b])) {
-                bestedge_[b] = k;
+              allowedge_[k] = true;
+            }
+            if (label_[bw] == 0) {
+              assign_label(w, 2, arc.p ^ 1);
+            } else if (label_[bw] == 1) {
+              const int base = scan_blossom(v, w);
+              if (base >= 0) {
+                add_blossom(base, k);
+              } else {
+                augment_matching(k);
+                augmented = true;
+                break;
               }
             } else if (label_[w] == 0) {
-              if (bestedge_[w] == -1 || kslack < slack(bestedge_[w])) {
-                bestedge_[w] = k;
-              }
+              SIC_DCHECK(label_[bw] == 2);
+              label_[w] = 2;
+              labelend_[w] = arc.p ^ 1;
             }
+            bv = inblossom_[v];
           }
+          stats_.edge_visits += visits;
         }
         if (augmented) break;
 
@@ -206,25 +209,27 @@ class BlossomMatcher {
           delta = *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_);
         }
         for (int v = 0; v < nv_; ++v) {
-          if (label_[inblossom_[v]] == 0 && bestedge_[v] != -1) {
-            const std::int64_t d = slack(bestedge_[v]);
+          if (label_[inblossom_[v]] == 0 && best_[v].edge != -1) {
+            SIC_DCHECK(slot_exact(v));
+            const std::int64_t d = best_[v].slack;
             if (deltatype == -1 || d < delta) {
               delta = d;
               deltatype = 2;
-              deltaedge = bestedge_[v];
+              deltaedge = best_[v].edge;
             }
           }
         }
         for (int b = 0; b < 2 * nv_; ++b) {
           if (blossomparent_[b] == -1 && label_[b] == 1 &&
-              bestedge_[b] != -1) {
-            const std::int64_t kslack = slack(bestedge_[b]);
+              best_[b].edge != -1) {
+            SIC_DCHECK(slot_exact(b));
+            const std::int64_t kslack = best_[b].slack;
             SIC_DCHECK(kslack % 2 == 0);
             const std::int64_t d = kslack / 2;
             if (deltatype == -1 || d < delta) {
               delta = d;
               deltatype = 3;
-              deltaedge = bestedge_[b];
+              deltaedge = best_[b].edge;
             }
           }
         }
@@ -244,18 +249,29 @@ class BlossomMatcher {
               0, *std::min_element(dualvar_.begin(), dualvar_.begin() + nv_));
         }
 
+        // The slots' cached slacks follow the duals. An unlabeled vertex's
+        // slot falls by delta (its S end falls, its own end holds), a
+        // top-level S-blossom's by 2 delta (both ends are S). A slot inside
+        // a T-blossom holds (its ends move by -delta and +delta) until the
+        // T-blossom expands. Slots inside S-blossoms are never read again
+        // this stage.
         for (int v = 0; v < nv_; ++v) {
-          const int lbl = label_[inblossom_[v]];
+          const int bv = inblossom_[v];
+          const int lbl = label_[bv];
           if (lbl == 1) {
             dualvar_[v] -= delta;
+            if (bv == v && best_[v].edge != -1) best_[v].slack -= 2 * delta;
           } else if (lbl == 2) {
             dualvar_[v] += delta;
+          } else if (best_[v].edge != -1) {
+            best_[v].slack -= delta;
           }
         }
         for (int b = nv_; b < 2 * nv_; ++b) {
           if (blossombase_[b] >= 0 && blossomparent_[b] == -1) {
             if (label_[b] == 1) {
               dualvar_[b] += delta;
+              if (best_[b].edge != -1) best_[b].slack -= 2 * delta;
             } else if (label_[b] == 2) {
               dualvar_[b] -= delta;
             }
@@ -300,6 +316,16 @@ class BlossomMatcher {
   }
 
  private:
+  static constexpr std::int64_t kNoSlack =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// A least-slack slot: its edge, -1 when empty, and that edge's slack
+  /// under the current duals, kNoSlack when empty.
+  struct Slot {
+    std::int64_t slack = kNoSlack;
+    int edge = -1;
+  };
+
   /// One adjacency entry: the far vertex, its endpoint id (2k or 2k+1 for
   /// edge k), and the edge's quantised weight.
   struct Arc {
@@ -314,6 +340,39 @@ class BlossomMatcher {
 
   [[nodiscard]] std::int64_t slack(int k) const {
     return dualvar_[edges_[k].i] + dualvar_[edges_[k].j] - 2 * edges_[k].w;
+  }
+
+  /// The slot past the last blossom id, where offers to no slot go.
+  [[nodiscard]] int sink() const { return 2 * nv_; }
+
+  /// The slot a non-tight edge from an S-vertex in top-level blossom bv to
+  /// w (top-level blossom bw) is offered to: bv's when bw is S, w's when w
+  /// is unlabeled, otherwise the sink. Which case holds depends on the
+  /// data, so masks pick the slot rather than branches.
+  [[nodiscard]] int offer_slot(int bv, int bw, int w) const {
+    const int to_s = -static_cast<int>(label_[bw] == 1);
+    const int to_free = -static_cast<int>(label_[w] == 0);
+    return (bv & to_s) | (~to_s & ((w & to_free) | (sink() & ~to_free)));
+  }
+
+  /// Offers edge k at slack s to slot x: it sticks only when s is strictly
+  /// below the slot's cached slack, so the first least edge in scan order
+  /// keeps the slot. The slot is read whole whatever the outcome, so the
+  /// compiler selects the new values without a data-dependent branch.
+  void offer(int x, int k, std::int64_t s) {
+    SIC_DCHECK(slot_exact(x));
+    const Slot held = best_[x];
+    const bool less = s < held.slack;
+    best_[x].slack = less ? s : held.slack;
+    best_[x].edge = less ? k : held.edge;
+  }
+
+  /// True when slot x's cached slack is its edge's slack under the current
+  /// duals, or the sentinel of an empty slot.
+  [[nodiscard]] bool slot_exact(int x) const {
+    return best_[x].edge == -1
+               ? x == sink() || best_[x].slack == kNoSlack
+               : best_[x].slack == slack(best_[x].edge);
   }
 
   /// Calls f(v) for every vertex v inside blossom b, in child order.
@@ -333,7 +392,7 @@ class BlossomMatcher {
     SIC_DCHECK(label_[w] == 0 && label_[b] == 0);
     label_[w] = label_[b] = t;
     labelend_[w] = labelend_[b] = p;
-    bestedge_[w] = bestedge_[b] = -1;
+    best_[w] = best_[b] = Slot{};
     if (t == 1) {
       for_each_leaf(b, [this](int leaf) { queue_.push_back(leaf); });
     } else {
@@ -437,7 +496,7 @@ class BlossomMatcher {
       }
       blossombestedges_[child].clear();
       has_bestedges_[child] = false;
-      bestedge_[child] = -1;
+      best_[child] = Slot{};
     }
     // Collect in blossom-id order, resetting the scratch as we go.
     auto& best = blossombestedges_[b];
@@ -449,10 +508,12 @@ class BlossomMatcher {
       }
     }
     has_bestedges_[b] = true;
-    bestedge_[b] = -1;
+    best_[b] = Slot{};
     for (const int ek : best) {
-      if (bestedge_[b] == -1 || slack(ek) < slack(bestedge_[b])) {
-        bestedge_[b] = ek;
+      const std::int64_t s = slack(ek);
+      if (s < best_[b].slack) {
+        best_[b].slack = s;
+        best_[b].edge = ek;
       }
     }
   }
@@ -523,7 +584,7 @@ class BlossomMatcher {
       const int bv = child_at(j);
       label_[endpoint_[p ^ 1]] = label_[bv] = 2;
       labelend_[endpoint_[p ^ 1]] = labelend_[bv] = p;
-      bestedge_[bv] = -1;
+      best_[bv] = Slot{};
       j += jstep;
       while (child_at(j) != entrychild) {
         const int bw = child_at(j);
@@ -552,7 +613,7 @@ class BlossomMatcher {
     blossombase_[b] = -1;
     blossombestedges_[b].clear();
     has_bestedges_[b] = false;
-    bestedge_[b] = -1;
+    best_[b] = Slot{};
     unusedblossoms_.push_back(b);
   }
 
@@ -646,7 +707,9 @@ class BlossomMatcher {
   std::vector<int> blossombase_;
   std::vector<std::vector<int>> blossomchilds_;
   std::vector<std::vector<int>> blossomendps_;
-  std::vector<int> bestedge_;
+  /// Least-slack edge per slot: an unlabeled vertex's (towards S), or a
+  /// top-level S-blossom's (towards another S-blossom).
+  std::vector<Slot> best_;
   std::vector<std::vector<int>> blossombestedges_;
   std::vector<char> has_bestedges_;
   std::vector<int> unusedblossoms_;
@@ -668,10 +731,6 @@ double grid_scale(double maxabs) {
 
 std::int64_t on_grid(double weight, double scale) {
   return 2 * std::llround(weight * scale);
-}
-
-std::string pair_name(int i, int j) {
-  return "(" + std::to_string(i) + ", " + std::to_string(j) + ")";
 }
 
 std::vector<BlossomMatcher::Edge> quantize(std::span<const WeightedEdge> edges) {

@@ -17,6 +17,29 @@
 /// far vertex, the endpoint id and the quantized weight, and blossom
 /// bookkeeping reuses member scratch, so a solve allocates only up front.
 ///
+/// Stage scan. Nearly all of a large solve is the scan's least-slack
+/// offers: on `dense_churn`'s serial-aware calls, 93 % of the arc visits
+/// fall in a stage's first scan pass and 1.9 % land on tight arcs.
+/// Each least-slack slot (an unlabeled vertex, or a top-level S-blossom)
+/// caches its edge's slack under the current duals, and the scan and the
+/// dual step read that number instead of re-deriving it from the edge and
+/// two duals. The cache is exact in every label state. A dual step lowers
+/// an unlabeled vertex's slot by delta (its S end falls, its own end
+/// holds) and a top-level S-blossom's by 2 delta (both ends are S). A
+/// slot inside a T-blossom holds, because its ends move by -delta and
+/// +delta, until expanding that T-blossom exposes it again. Every write
+/// of a slot writes its slack, and with SIC_DCHECK on every read checks
+/// it. A non-tight arc's offer goes to v's blossom's slot, w's slot or a
+/// sink slot that never takes one, picked by masks, and sticks through a
+/// conditional move only when strictly smaller: no branch depends on the
+/// labels or slacks, and the first least arc in scan order keeps a slot.
+/// The step order is kept, not just the optimum, because the scheduler's
+/// gain graphs tie often: when the weaker client is the bottleneck, a
+/// pair gains exactly the stronger client's solo airtime, whoever the
+/// partner is. Under one random relabelling, 511 of 1,461 `dense_churn`
+/// calls return a different set of gain pairs at equal total, as do 431
+/// of 513 `pcmr_chaos` and 116 of 5,370 `nearest_serve` calls.
+///
 /// min_weight_perfect_matching(costs) jump-starts the solve the way Blossom
 /// V does (Kolmogorov, Math. Prog. Comp. 1(1), 2009): each vertex's dual
 /// starts at its largest incident weight, then a greedy pass in index order
@@ -32,7 +55,11 @@
 /// Correctness is cross-checked against an exponential oracle in
 /// tests/matching_blossom_test.cpp, and the two starts and the two
 /// perfect-matching entries against each other on scheduler-shaped graphs
-/// up to n ≈ 300 in tests/matching_stress_test.cpp.
+/// up to n ≈ 300 in tests/matching_stress_test.cpp. The step order is
+/// pinned by hashes of the returned pairings: on seeded graphs up to 40
+/// vertices (Blossom.TieBreakingPinnedOnSeededGraphs), and with the work
+/// counters on scheduler-shaped cells up to 340 vertices
+/// (GainBlossom.TieBreakingPinnedOnSchedulerShapedCells).
 
 #include <span>
 #include <vector>

@@ -20,6 +20,11 @@ class MatchingError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// "(i, j)": how a MatchingError message names a pair or an edge.
+inline std::string pair_name(int i, int j) {
+  return "(" + std::to_string(i) + ", " + std::to_string(j) + ")";
+}
+
 }  // namespace sic::matching
 
 #endif  // SICMAC_MATCHING_ERROR_HPP

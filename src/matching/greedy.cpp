@@ -1,7 +1,9 @@
 #include "matching/greedy.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "matching/error.hpp"
@@ -30,6 +32,18 @@ Matching greedy_min_weight_perfect_matching(
       reg != nullptr ? &reg->counter("matching.greedy.calls") : nullptr};
   costs.edges(edge_scratch);
   auto& edges = edge_scratch;
+  // The heap order below must be a strict weak order, which a NaN breaks,
+  // and a −inf pair would swallow the total. +inf is a pair that never
+  // completes: it sorts last.
+  for (const WeightedEdge& e : edges) {
+    if (std::isnan(e.weight) ||
+        e.weight == -std::numeric_limits<double>::infinity()) {
+      throw MatchingError("greedy perfect matching: cost of pair " +
+                          pair_name(e.u, e.v) + " is " +
+                          std::to_string(e.weight) +
+                          " (costs must be finite or +inf)");
+    }
+  }
   // Heap selection instead of a full sort: the greedy scan stops once every
   // vertex is matched, which on a complete graph happens long before the
   // expensive tail of the edge list would ever be looked at — so most of an

@@ -14,7 +14,8 @@
 
 namespace sic::matching {
 
-/// Requires even n (throws MatchingError otherwise). O(n² log n).
+/// Requires even n and costs that are finite or +inf; throws MatchingError
+/// otherwise, naming the count or the pair. O(n² log n).
 [[nodiscard]] Matching greedy_min_weight_perfect_matching(const CostMatrix& costs);
 
 /// Scratch-reusing variant: \p edge_scratch holds the materialized edge

@@ -10,10 +10,15 @@
 #include <utility>
 #include <vector>
 
+#include "channel/link.hpp"
+#include "core/scheduler.hpp"
 #include "matching/error.hpp"
 #include "matching/oracle.hpp"
 #include "obs/metrics.hpp"
+#include "phy/rate_adapter.hpp"
+#include "phy/rate_table.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace sic::matching {
 namespace {
@@ -488,6 +493,88 @@ TEST(GainBlossom, UnservableVerticesPairWithEachOtherFirst) {
   // One blossom call, whose stages read the one gain edge and nothing else.
   EXPECT_EQ(registry.counter("matching.blossom.calls").value(), 1u);
   EXPECT_LE(registry.counter("matching.blossom.edge_visits").value(), 2u);
+}
+
+TEST(GainBlossom, TieBreakingPinnedOnSchedulerShapedCells) {
+  // The scheduler's gain graphs tie often: when the weaker client is the
+  // bottleneck, a pair gains exactly the stronger client's solo airtime,
+  // whoever the partner is. So which optimum the serial-aware entry
+  // returns follows from the matcher's exact step order. This hash over
+  // the pairs and the published matching.blossom counters of seeded cells
+  // built as schedule_upload builds them (best_pair_plan costs,
+  // solo_airtime serials) pins that order up to the sizes a herding
+  // deployment reaches; TieBreakingPinnedOnSeededGraphs stops at 40
+  // vertices. The cells take every dual step type; most of the 229
+  // T-blossom expansions happen in the 150 small cells of each kind. Raw
+  // SplitMix64 bits keep the SNRs independent of the standard library's
+  // distributions.
+  struct Cells {
+    const phy::RateAdapter* adapter;
+    bool techniques;  // power control and multirate
+    double snr_lo_db;
+    double snr_hi_db;
+    std::vector<int> large;
+  };
+  const phy::ShannonRateAdapter shannon{megahertz(20.0)};
+  const phy::DiscreteRateAdapter dot11g{phy::RateTable::dot11g()};
+  const Cells kinds[] = {
+      {&shannon, false, 0.0, 30.0, {64, 97, 128, 160, 200, 256, 340}},
+      {&dot11g, true, 2.0, 36.0, {48, 96, 160, 250, 300}},
+  };
+  SplitMix64 bits{20311};
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a
+  const auto fold = [&hash](std::uint64_t x) {
+    hash = (hash ^ x) * 1099511628211ULL;
+  };
+  for (const Cells& cell : kinds) {
+    core::SchedulerOptions options;
+    options.enable_power_control = cell.techniques;
+    options.enable_multirate = cell.techniques;
+    std::vector<int> sizes = cell.large;
+    for (int k = 0; k < 150; ++k) {
+      sizes.push_back(4 + static_cast<int>(bits.next() % 37));
+    }
+    for (const int n : sizes) {
+      std::vector<channel::LinkBudget> clients;
+      for (int i = 0; i < n; ++i) {
+        const double u = static_cast<double>(bits.next() >> 11) * 0x1p-53;
+        clients.push_back(channel::LinkBudget{
+            Milliwatts{Decibels{cell.snr_lo_db +
+                                u * (cell.snr_hi_db - cell.snr_lo_db)}
+                           .linear()},
+            Milliwatts{1.0}});
+      }
+      const int nv = n + n % 2;  // an odd cell gets the dummy vertex
+      CostMatrix costs{nv};
+      std::vector<double> serial(static_cast<std::size_t>(nv), 0.0);
+      for (int i = 0; i < n; ++i) {
+        serial[i] =
+            core::solo_airtime(clients[i], *cell.adapter, options.packet_bits);
+        for (int j = i + 1; j < n; ++j) {
+          costs.set(i, j,
+                    core::best_pair_plan(clients[i], clients[j], *cell.adapter,
+                                         options)
+                        .airtime);
+        }
+        if (nv > n) costs.set(i, n, serial[i]);
+      }
+      obs::MetricsRegistry registry;
+      obs::MetricsRegistry* prev = obs::set_metrics(&registry);
+      const Matching m = min_weight_perfect_matching(costs, serial);
+      obs::set_metrics(prev);
+      for (const auto& [a, b] : m.pairs) {
+        fold(static_cast<std::uint64_t>(a));
+        fold(static_cast<std::uint64_t>(b));
+      }
+      for (const char* name :
+           {"matching.blossom.stages", "matching.blossom.augmentations",
+            "matching.blossom.edge_visits",
+            "matching.blossom.blossoms_formed"}) {
+        fold(registry.counter(name).value());
+      }
+    }
+  }
+  EXPECT_EQ(hash, 6462750438996600331ULL);
 }
 
 TEST(GainBlossom, InvalidInputRejectedNamingTheVertexOrPair) {

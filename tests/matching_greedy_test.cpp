@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "matching/blossom.hpp"
@@ -112,6 +114,34 @@ TEST(Greedy, OddCountRejected) {
   } catch (const MatchingError& e) {
     EXPECT_NE(std::string{e.what()}.find("3"), std::string::npos);
   }
+}
+
+TEST(Greedy, NanOrNegativeInfiniteCostRejectedNamingThePair) {
+  // A NaN breaks the heap's strict weak order and a −inf pair swallows
+  // the total, so both throw as the blossom entries do; +inf (a pair that
+  // never completes) stays allowed and sorts last.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto error = [](const CostMatrix& costs) {
+    try {
+      (void)greedy_min_weight_perfect_matching(costs);
+    } catch (const MatchingError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no MatchingError"};
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -kInf}) {
+    CostMatrix costs{4, 1.0};
+    costs.set(0, 2, bad);
+    EXPECT_NE(error(costs).find("(0, 2)"), std::string::npos) << bad;
+  }
+  EXPECT_NE(error(CostMatrix{4, std::numeric_limits<double>::quiet_NaN()})
+                .find("(0, 1)"),
+            std::string::npos);
+  CostMatrix never{4, 1.0};
+  never.set(0, 1, kInf);
+  const auto m = greedy_min_weight_perfect_matching(never);
+  EXPECT_EQ(m.pairs, (std::vector<std::pair<int, int>>{{0, 2}, {1, 3}}));
+  EXPECT_DOUBLE_EQ(m.total_cost, 2.0);
 }
 
 }  // namespace
